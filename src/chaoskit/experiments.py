@@ -2,10 +2,9 @@
 
 Each experiment consumes a JSON config, runs deterministically for a fixed
 seed, writes `report.json` and `report.csv` into the output directory, and
-reports pass/fail through the returned `RunResult`.  Work across an n-grid is
-parallelized over threads (bounded by CHAOSKIT_THREADS); output assembly is
-single-threaded in grid order so results are byte-identical regardless of
-thread count.
+reports pass/fail through the returned `RunResult`.  Each runner walks its
+n-grid or instance list in order and returns `(columns, rows, summary,
+failures)`; `run` writes the reports, and a run passes when no gate failed.
 """
 
 from __future__ import annotations
@@ -13,8 +12,6 @@ from __future__ import annotations
 import itertools
 import json
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -196,7 +193,8 @@ def _fmt_cell(v) -> str:
 
 
 def _write_reports(cfg: ExperimentConfig, columns: list[str], rows: list[list],
-                   summary: dict, passed: bool, failures: list[str]) -> RunResult:
+                   summary: dict, failures: list[str]) -> RunResult:
+    passed = not failures
     cfg.out.mkdir(parents=True, exist_ok=True)
     jpath = cfg.out / "report.json"
     cpath = cfg.out / "report.csv"
@@ -219,30 +217,18 @@ def _write_reports(cfg: ExperimentConfig, columns: list[str], rows: list[list],
     return RunResult(passed, failures, jpath, cpath)
 
 
-def _grid_map(fn, grid, threads: int | None = None):
-    """Apply fn over the grid, possibly in parallel; results in grid order."""
-    if threads is None:
-        env = os.environ.get("CHAOSKIT_THREADS", "")
-        threads = int(env) if env.isdigit() and int(env) > 0 else (os.cpu_count() or 1)
-    threads = max(1, min(threads, len(grid)))
-    if threads == 1:
-        return [fn(n) for n in grid]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, grid))
-
-
 # -- individual experiments --------------------------------------------------
 
 
-def _run_chaos_check(cfg: ExperimentConfig) -> RunResult:
+def _run_chaos_check(cfg: ExperimentConfig):
     spec = cfg.sequence
     tol = cfg.tolerances["chaos"]
     columns = ["n", "component", "eigenvalue", "chaotic", "n_offending", "max_mass"]
-
-    def one(n: int):
+    rows: list[list] = []
+    failures: list[str] = []
+    for n in cfg.n_grid:
         built = spec.build(n)
         fs = (built,) if isinstance(built, SpectralFn) else tuple(built)
-        rows = []
         ok_all = True
         for idx, f in enumerate(fs):
             chk = spectral.is_chaotic(f, tol)
@@ -254,84 +240,70 @@ def _run_chaos_check(cfg: ExperimentConfig) -> RunResult:
             ok_all = ok_all and chk.ok
         if len(fs) > 1:
             vec = spectral.is_chaotic_vector(fs, tol)
-            worst = 0.0
-            n_off = 0
-            for _, _, chk in vec.pairs:
-                n_off += len(chk.offenders)
-                worst = max(worst, max((m for _, m in chk.offenders), default=0.0))
-            rows.append([n, "vector", math.nan, vec.ok, n_off, worst])
+            masses = [m for _, _, chk in vec.pairs for _, m in chk.offenders]
+            rows.append([n, "vector", math.nan, vec.ok, len(masses), max(masses, default=0.0)])
             ok_all = ok_all and vec.ok
-        return rows, ok_all
-
-    results = _grid_map(one, cfg.n_grid)
-    rows: list[list] = []
-    failures = []
-    for n, (chunk, ok) in zip(cfg.n_grid, results):
-        rows.extend(chunk)
-        if not ok:
+        if not ok_all:
             failures.append(f"chaos-check: not chaotic at n={n}")
-    passed = not failures
-    summary = {"tol": tol, "all_chaotic": passed}
-    return _write_reports(cfg, columns, rows, summary, passed, failures)
+    summary = {"tol": tol, "all_chaotic": not failures}
+    return columns, rows, summary, failures
 
 
-def _spread_reference(spec: SequenceSpec) -> tuple[float, float]:
-    """Single-coordinate moment4 and Var Gamma of the normalized eigenfunction."""
-    space = product_space(spec.kind, 2 * spec.p, 1)
-    g = space.basis_fn((spec.p,))
-    return moments.moment4(g), moments.var_gamma(g, g)
+def _coordinate_moment4(kind: BasisKind, p: int) -> tuple[SpectralFn, float]:
+    """Q_p on a single coordinate (the n = 1 spread) and its moment4 ∫Q_p⁴."""
+    g = product_space(kind, 2 * p, 1).basis_fn((p,))
+    return g, moments.moment4(g)
 
 
-def _run_fmt_verify(cfg: ExperimentConfig) -> RunResult:
+def _run_fmt_verify(cfg: ExperimentConfig):
     spec = cfg.sequence
     tol = cfg.tolerances["closed_form"]
-    g_m4, g_vg = _spread_reference(spec)
+    g, g_m4 = _coordinate_moment4(spec.kind, spec.p)
+    g_vg = moments.var_gamma(g, g)
     columns = [
         "n", "m2", "m4", "m4_expected", "m4_abs_err",
         "var_gamma", "var_gamma_expected", "var_gamma_abs_err",
         "chaotic", "centered",
     ]
-
-    def one(n: int):
+    rows: list[list] = []
+    failures: list[str] = []
+    for n in cfg.n_grid:
         rep = moments.fmt_report(spec.build(n), cfg.tolerances["chaos"])
         m4_exp = 3.0 + (g_m4 - 3.0) / n
         vg_exp = g_vg / n
-        return [
-            n, rep.m2, rep.m4, m4_exp, abs(rep.m4 - m4_exp),
-            rep.var_gamma, vg_exp, abs(rep.var_gamma - vg_exp),
-            rep.chaotic, rep.centered,
-        ]
-
-    rows = _grid_map(one, cfg.n_grid)
-    failures = []
-    for row in rows:
-        n = row[0]
-        if row[4] > tol:
-            failures.append(f"fmt-verify: |m4 - expected| = {row[4]:.3e} at n={n}")
-        if row[7] > tol:
-            failures.append(f"fmt-verify: |var_gamma - expected| = {row[7]:.3e} at n={n}")
-        if not row[8]:
+        m4_err = abs(rep.m4 - m4_exp)
+        vg_err = abs(rep.var_gamma - vg_exp)
+        rows.append([
+            n, rep.m2, rep.m4, m4_exp, m4_err,
+            rep.var_gamma, vg_exp, vg_err, rep.chaotic, rep.centered,
+        ])
+        if m4_err > tol:
+            failures.append(f"fmt-verify: |m4 - expected| = {m4_err:.3e} at n={n}")
+        if vg_err > tol:
+            failures.append(f"fmt-verify: |var_gamma - expected| = {vg_err:.3e} at n={n}")
+        if not rep.chaotic:
             failures.append(f"fmt-verify: sequence element not chaotic at n={n}")
-        if not row[9]:
+        if not rep.centered:
             failures.append(f"fmt-verify: sequence element not centered at n={n}")
     summary = {
         "single_coordinate_m4": g_m4,
         "single_coordinate_var_gamma": g_vg,
         "m4_sup": max(row[2] for row in rows),
     }
-    passed = not failures
-    return _write_reports(cfg, columns, rows, summary, passed, failures)
+    return columns, rows, summary, failures
 
 
-def _run_joint_verify(cfg: ExperimentConfig) -> RunResult:
+def _run_joint_verify(cfg: ExperimentConfig):
     spec = cfg.sequence
     tol = cfg.tolerances["closed_form"]
     chaos_tol = cfg.tolerances["chaos"]
-    ref_space = product_space(spec.kind, 2 * max(spec.p1, spec.p2), 1)
-    g_m4 = moments.moment4(ref_space.basis_fn((spec.p1,)))
+    # The mixed moment has a closed form only for equal levels.
+    g_m4 = _coordinate_moment4(spec.kind, spec.p1)[1] if spec.p1 == spec.p2 else None
     columns = ["n"] + list(CSV_COLUMNS)
-
-    def one(n: int):
+    rows: list[list] = []
+    per_n = []
+    failures: list[str] = []
+    for n in cfg.n_grid:
         f1, f2 = spec.build(n)
         cov = np.array([
             [inner(f1, f1), inner(f1, f2)],
@@ -340,12 +312,13 @@ def _run_joint_verify(cfg: ExperimentConfig) -> RunResult:
         rep = moments.joint_report((f1, f2), GaussianTarget(cov), chaos_tol)
         vec = spectral.is_chaotic_vector((f1, f2), chaos_tol)
         rho_n = float(cov[0, 1])
-        if spec.p1 == spec.p2:
-            m22_exp = 1.0 + 2.0 * rho_n**2 + rho_n * (g_m4 - 3.0) / n
-        else:
-            m22_exp = float("nan")
+        m22_err = None
+        if g_m4 is not None:
+            # int F1^2 F2^2 does not see the sign of the shared block.
+            m22_exp = 1.0 + 2.0 * rho_n**2 + abs(rho_n) * (g_m4 - 3.0) / n
+            m22_err = abs(rep.mixed22[0, 1] - m22_exp)
         gap = np.abs(rep.mixed22 - rep.isserlis)
-        info = {
+        per_n.append({
             "n": n,
             "rho_requested": spec.rho,
             "rho_realized": rho_n,
@@ -353,36 +326,21 @@ def _run_joint_verify(cfg: ExperimentConfig) -> RunResult:
             "prop31": rep.prop31,
             "r_max": float(np.abs(rep.r_matrix).max()),
             "mixed22_gap_max": float(gap.max()),
-            "mixed22_closed_form_err": (
-                abs(rep.mixed22[0, 1] - m22_exp) if spec.p1 == spec.p2 else None
-            ),
+            "mixed22_closed_form_err": m22_err,
             "chaotic_vector": vec.ok,
-        }
-        rows = [[n] + row for row in rep.csv_rows()]
-        return rows, info
-
-    results = _grid_map(one, cfg.n_grid)
-    rows: list[list] = []
-    per_n = []
-    failures = []
-    for chunk, info in results:
-        rows.extend(chunk)
-        per_n.append(info)
-        n = info["n"]
-        if not info["chaotic_vector"]:
+        })
+        rows.extend([n] + row for row in rep.csv_rows())
+        if not vec.ok:
             failures.append(f"joint-verify: vector not jointly chaotic at n={n}")
-        err = info["mixed22_closed_form_err"]
-        if err is not None and err > tol:
+        if m22_err is not None and m22_err > tol:
             failures.append(
-                f"joint-verify: mixed22 closed-form error {err:.3e} at n={n}"
+                f"joint-verify: mixed22 closed-form error {m22_err:.3e} at n={n}"
             )
     for key in ("r_max", "prop31", "mixed22_gap_max"):
         vals = [info[key] for info in per_n]
         if any(b >= a for a, b in zip(vals, vals[1:])):
             failures.append(f"joint-verify: {key} not strictly decreasing over n_grid")
-    summary = {"per_n": per_n}
-    passed = not failures
-    return _write_reports(cfg, columns, rows, summary, passed, failures)
+    return columns, rows, {"per_n": per_n}, failures
 
 
 def build_test_vector(v: dict) -> tuple[tuple[SpectralFn, ...], GaussianTarget, str]:
@@ -413,17 +371,11 @@ def build_test_vector(v: dict) -> tuple[tuple[SpectralFn, ...], GaussianTarget, 
 
 def t_grid(axis: tuple[float, ...], dim: int, t_max: float) -> list[np.ndarray]:
     """Cartesian grid axis^dim restricted to the ball ||t|| <= t_max."""
-    grids = [np.array(t) for t in _cartesian(axis, dim)]
+    grids = [np.array(t) for t in itertools.product(axis, repeat=dim)]
     return [t for t in grids if float(np.linalg.norm(t)) <= t_max]
 
 
-def _cartesian(axis, dim):
-    if dim == 1:
-        return [(t,) for t in axis]
-    return [(t, *rest) for t in axis for rest in _cartesian(axis, dim - 1)]
-
-
-def _run_bound_check(cfg: ExperimentConfig) -> RunResult:
+def _run_bound_check(cfg: ExperimentConfig):
     columns = ["vector", "t", "t_norm", "gap", "stderr", "prop31", "rhs", "pass"]
     rows: list[list] = []
     failures: list[str] = []
@@ -445,8 +397,7 @@ def _run_bound_check(cfg: ExperimentConfig) -> RunResult:
                     f"gap {gap:.6g} > bound {rhs:.6g}"
                 )
     summary = {"n_samples": cfg.n_samples, "n_rows": len(rows)}
-    passed = not failures
-    return _write_reports(cfg, columns, rows, summary, passed, failures)
+    return columns, rows, summary, failures
 
 
 def random_span_function(space, rng: np.random.Generator,
@@ -462,7 +413,7 @@ def random_span_function(space, rng: np.random.Generator,
     return SpectralFn(space, coeffs)
 
 
-def _run_thm33_check(cfg: ExperimentConfig) -> RunResult:
+def _run_thm33_check(cfg: ExperimentConfig):
     tol = cfg.tolerances["thm33"]
     columns = [
         "instance", "family", "dim", "support", "lambda_max", "eta",
@@ -495,8 +446,7 @@ def _run_thm33_check(cfg: ExperimentConfig) -> RunResult:
                 f"lhs {lhs:.6g} > rhs {rhs:.6g}"
             )
     summary = {"count": cfg.count, "violations": len(failures)}
-    passed = not failures
-    return _write_reports(cfg, columns, rows, summary, passed, failures)
+    return columns, rows, summary, failures
 
 
 def random_sym_tensor(dim: int, order: int, rng: np.random.Generator) -> wiener.SymTensor:
@@ -507,7 +457,7 @@ def random_sym_tensor(dim: int, order: int, rng: np.random.Generator) -> wiener.
     return wiener.SymTensor(dim, order, entries)
 
 
-def _run_product_formula_check(cfg: ExperimentConfig) -> RunResult:
+def _run_product_formula_check(cfg: ExperimentConfig):
     tol = cfg.tolerances["product_formula"]
     columns = ["instance", "p", "m", "lhs", "rhs", "abs_err", "allowed", "pass"]
     rng = np.random.default_rng(cfg.seed)
@@ -530,8 +480,7 @@ def _run_product_formula_check(cfg: ExperimentConfig) -> RunResult:
                 f"|lhs - rhs| = {err:.3e} > {allowed:.3e}"
             )
     summary = {"count": cfg.count, "violations": len(failures)}
-    passed = not failures
-    return _write_reports(cfg, columns, rows, summary, passed, failures)
+    return columns, rows, summary, failures
 
 
 _RUNNERS = {
@@ -546,4 +495,5 @@ _RUNNERS = {
 
 def run(cfg: ExperimentConfig) -> RunResult:
     """Run one experiment; writes report.json / report.csv under cfg.out."""
-    return _RUNNERS[cfg.experiment](cfg)
+    columns, rows, summary, failures = _RUNNERS[cfg.experiment](cfg)
+    return _write_reports(cfg, columns, rows, summary, failures)

@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 from .moments import GaussianTarget
 from .spectral import ProductSpace, SpectralFn
@@ -85,6 +84,8 @@ def evaluate(f: SpectralFn, batch: SampleBatch) -> np.ndarray:
 
 def ks_pvalues(batch: SampleBatch) -> list[float]:
     """Kolmogorov-Smirnov p-value of each coordinate against its basis measure."""
+    from scipy import stats  # deferred: it would dominate `import chaoskit`
+
     out = []
     for j, basis in enumerate(batch.space.coords):
         kind = basis.kind

@@ -36,13 +36,9 @@ class SequenceSpec:
         if self.family not in ("spread", "pair_mixed"):
             raise ValueError(f"unknown sequence family {self.family!r}")
         if self.family == "spread":
-            if self.p < 1:
-                raise ValueError("spread needs p >= 1")
+            _check_spread(self.p)
         else:
-            if self.p1 < 1 or self.p2 < 1:
-                raise ValueError("pair_mixed needs p1, p2 >= 1")
-            if abs(self.rho) > 1.0:
-                raise ValueError(f"|rho| must be <= 1, got {self.rho}")
+            _check_pair_mixed(self.p1, self.p2, self.rho)
 
     def build(self, n: int):
         if self.family == "spread":
@@ -69,10 +65,21 @@ class SequenceSpec:
         )
 
 
-def spread(kind: BasisKind, p: int, n: int) -> SpectralFn:
-    """n^{-1/2} sum of the degree-p eigenfunction over n fresh coordinates."""
+def _check_spread(p: int) -> None:
     if p < 1:
         raise ValueError("spread needs p >= 1")
+
+
+def _check_pair_mixed(p1: int, p2: int, rho: float) -> None:
+    if p1 < 1 or p2 < 1:
+        raise ValueError("pair_mixed needs p1, p2 >= 1")
+    if abs(rho) > 1.0:
+        raise ValueError(f"requested covariance {rho} is infeasible (|rho| <= 1)")
+
+
+def spread(kind: BasisKind, p: int, n: int) -> SpectralFn:
+    """n^{-1/2} sum of the degree-p eigenfunction over n fresh coordinates."""
+    _check_spread(p)
     if n < 1:
         raise ValueError("spread needs n >= 1")
     basis = make_basis(kind, 2 * p)
@@ -100,12 +107,9 @@ def pair_mixed(p1: int, p2: int, rho: float, n: int,
     remaining n - s coordinates fresh.  The space has n + (n - s) coordinates
     with degree headroom 2 max(p1, p2).
     """
-    if p1 < 1 or p2 < 1:
-        raise ValueError("pair_mixed needs p1, p2 >= 1")
+    _check_pair_mixed(p1, p2, rho)
     if n < 1:
         raise ValueError("pair_mixed needs n >= 1")
-    if abs(rho) > 1.0:
-        raise ValueError(f"requested covariance {rho} is infeasible (|rho| <= 1)")
     kind = hermite() if kind is None else kind
     s = shared_coordinates(rho, n)
     d = 2 * n - s

@@ -6,12 +6,14 @@ import csv
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from chaoskit.cli import main
-from chaoskit.experiments import ConfigError, parse_config
+from chaoskit.experiments import ConfigError, load_config, parse_config, run
 
+CONFIGS = sorted((Path(__file__).parent.parent / "configs").glob("*.json"))
 SPREAD = {"family": "spread", "kind": {"kind": "hermite", "params": []}, "p": 2}
 
 
@@ -120,6 +122,27 @@ def test_joint_verify_csv_schema(tmp_path):
     assert len(rows) == 2 * 4  # per n: 2x2 ordered pairs
 
 
+def test_joint_verify_negative_rho(tmp_path):
+    # int F1^2 F2^2 does not depend on the sign of the shared block.
+    cfg = write_config(tmp_path, {
+        "experiment": "joint-verify",
+        "sequence": {"family": "pair_mixed", "kind": {"kind": "hermite", "params": []},
+                     "p1": 2, "p2": 2, "rho": -0.5},
+        "n_grid": [2, 4, 8],
+        "out": str(tmp_path / "jv"),
+    })
+    assert main(["joint-verify", "--config", cfg]) == 0
+    report = json.loads((tmp_path / "jv" / "report.json").read_text())
+    for info in report["summary"]["per_n"]:
+        assert abs(info["rho_realized"] + 0.5) <= 1e-12
+        assert info["mixed22_closed_form_err"] <= 1e-9
+
+
+@pytest.mark.parametrize("path", CONFIGS, ids=[p.stem for p in CONFIGS])
+def test_shipped_config_passes(path, tmp_path):
+    assert run(load_config(path, out_override=tmp_path)).passed
+
+
 def test_product_formula_and_chaos_check_run(tmp_path):
     cfg = write_config(tmp_path, {
         "experiment": "product-formula-check", "count": 10, "seed": 2,
@@ -180,6 +203,12 @@ def test_parse_config_validation():
     with pytest.raises(ConfigError):
         parse_config({"experiment": "fmt-verify", "sequence": SPREAD,
                       "n_grid": [1], "tolerances": {"closed_form": 0.0}})
+    with pytest.raises(ConfigError):
+        parse_config({"experiment": "fmt-verify", "n_grid": [1],
+                      "sequence": dict(SPREAD, p=0)})
+    with pytest.raises(ConfigError):
+        parse_config({"experiment": "joint-verify", "n_grid": [1],
+                      "sequence": {"family": "pair_mixed", "p1": 2, "p2": 2, "rho": 2.0}})
     with pytest.raises(ConfigError):
         parse_config({"experiment": "bound-check", "vectors": []})
     with pytest.raises(ConfigError):

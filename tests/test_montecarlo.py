@@ -4,6 +4,8 @@ empirical characteristic functions."""
 from __future__ import annotations
 
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -127,3 +129,12 @@ def test_cf_gap_validation():
         cf_gap([f], np.eye(1), [1.0, 2.0], batch)
     with pytest.raises(ValueError):
         cf_gap([f], np.eye(2), [1.0], batch)
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, chaoskit; assert 'scipy.stats' not in sys.modules"],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
