@@ -301,7 +301,7 @@ def _check_basis(basis: Basis) -> None:
     # matrix.  (Eigenvector-derived weights lose all relative accuracy once
     # they fall below ~1e-30, so they cannot be used to scale this check.)
     with np.errstate(over="ignore", invalid="ignore"):
-        q = basis.eval_all(x)
+        q, d1, d2 = basis.eval_with_derivatives(x)
     if not np.all(np.isfinite(q)):
         raise RuntimeError(
             f"{basis.kind.label()}: values overflow at degree {deg}; "
@@ -319,13 +319,13 @@ def _check_basis(basis: Basis) -> None:
     # Eigenrelation L Q_p = -lambda_p Q_p at the Gauss nodes, measured on the
     # same per-node normalized scale so the check stays meaningful when
     # polynomial values grow large.
-    _, d1, d2 = basis.eval_with_derivatives(x)
     sigma, tau = basis.kind.generator_coefficients(x)
     node_scale = qn[0] / q[0]
-    for p in range(deg + 1):
-        resid = (sigma * d2[p] + tau * d1[p] + lams[p] * q[p]) * node_scale
-        if not np.abs(resid).max() <= EPS_EIG * (1.0 + lams[p]):
-            raise RuntimeError(
-                f"{basis.kind.label()}: eigenrelation fails at degree {p} "
-                f"(residual {np.abs(resid).max():.3e}, lambda = {lams[p]})"
-            )
+    resid = np.abs((sigma * d2 + tau * d1 + lams[:, None] * q) * node_scale).max(axis=1)
+    bad = np.flatnonzero(~(resid <= EPS_EIG * (1.0 + lams)))
+    if bad.size:
+        p = bad[0]
+        raise RuntimeError(
+            f"{basis.kind.label()}: eigenrelation fails at degree {p} "
+            f"(residual {resid[p]:.3e}, lambda = {lams[p]})"
+        )

@@ -21,7 +21,7 @@ from . import moments, montecarlo, sequences, spectral, wiener
 from .basis import BasisKind
 from .moments import CSV_COLUMNS, GaussianTarget
 from .sequences import SequenceSpec
-from .spectral import SpectralFn, inner, product_space
+from .spectral import SpectralFn, product_space
 
 EXPERIMENTS = (
     "chaos-check",
@@ -77,6 +77,22 @@ def _require(obj: dict, key: str):
     return obj[key]
 
 
+def _convert(key: str, value, conv):
+    """conv(value), with a value of the wrong type or form reported as a ConfigError."""
+    try:
+        return conv(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad value for {key!r}: {value!r}") from exc
+
+
+def _floats(values) -> tuple[float, ...]:
+    return tuple(float(v) for v in values)
+
+
+def _ints(values) -> tuple[int, ...]:
+    return tuple(int(v) for v in values)
+
+
 def parse_config(obj: dict, seed_override: int | None = None,
                  out_override: str | None = None) -> ExperimentConfig:
     if not isinstance(obj, dict):
@@ -86,13 +102,16 @@ def parse_config(obj: dict, seed_override: int | None = None,
         raise ConfigError(
             f"unknown experiment {experiment!r}; expected one of {EXPERIMENTS}"
         )
-    seed = int(obj.get("seed", 0)) if seed_override is None else int(seed_override)
+    seed = obj.get("seed", 0) if seed_override is None else seed_override
+    seed = _convert("seed", seed, int)
     if seed < 0:
         raise ConfigError("seed must be nonnegative")
-    out = Path(out_override if out_override is not None else obj.get("out", f"reports/{experiment}"))
+    out = out_override if out_override is not None else obj.get("out", f"reports/{experiment}")
+    out = _convert("out", out, Path)
 
     tol = dict(DEFAULT_TOLERANCES)
-    tol.update(obj.get("tolerances", {}))
+    for name, value in _convert("tolerances", obj.get("tolerances", {}), dict).items():
+        tol[name] = _convert(f"tolerances.{name}", value, float)
     for name, value in tol.items():
         if not value > 0:
             raise ConfigError(f"tolerance {name!r} must be positive, got {value}")
@@ -101,9 +120,9 @@ def parse_config(obj: dict, seed_override: int | None = None,
     if experiment in ("chaos-check", "fmt-verify", "joint-verify"):
         try:
             spec = SequenceSpec.from_json(_require(obj, "sequence"))
-        except (KeyError, ValueError) as exc:
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"bad sequence spec: {exc}") from exc
-        grid = tuple(int(n) for n in _require(obj, "n_grid"))
+        grid = _convert("n_grid", _require(obj, "n_grid"), _ints)
         if not grid or any(n < 1 for n in grid):
             raise ConfigError("n_grid must be a nonempty list of integers >= 1")
         if any(b <= a for a, b in zip(grid, grid[1:])):
@@ -114,29 +133,29 @@ def parse_config(obj: dict, seed_override: int | None = None,
             raise ConfigError("joint-verify needs a pair_mixed sequence")
         kwargs.update(sequence=spec, n_grid=grid)
     elif experiment == "bound-check":
-        vectors = tuple(_require(obj, "vectors"))
+        vectors = _convert("vectors", _require(obj, "vectors"), tuple)
         if not vectors:
             raise ConfigError("bound-check needs at least one test vector")
         for v in vectors:
-            vtype = v.get("type")
-            if vtype == "eigenfunction":
-                missing = {"degree"} - set(v)
-            elif vtype == "pair_mixed":
-                missing = {"p1", "p2", "n"} - set(v)
-            else:
+            if not isinstance(v, dict):
                 raise ConfigError(f"bad vector spec {v!r}")
-            if missing:
-                raise ConfigError(f"vector spec {v!r} is missing {sorted(missing)}")
-        n_samples = int(obj.get("n_samples", 100_000))
+            try:
+                _vector_args(v)
+            except KeyError as exc:
+                raise ConfigError(f"vector spec {v!r} is missing {exc}") from exc
+            except (TypeError, ValueError) as exc:
+                raise ConfigError(f"bad vector spec {v!r}: {exc}") from exc
+        n_samples = _convert("n_samples", obj.get("n_samples", 100_000), int)
         if n_samples < 1:
             raise ConfigError("n_samples must be >= 1")
-        t_axis = tuple(float(t) for t in obj.get("t_axis", (0.25, 0.5, 1.0, 2.0)))
+        t_axis = _convert("t_axis", obj.get("t_axis", (0.25, 0.5, 1.0, 2.0)), _floats)
         kwargs.update(
             vectors=vectors, n_samples=n_samples, t_axis=t_axis,
-            t_max=float(obj.get("t_max", 3.0)),
+            t_max=_convert("t_max", obj.get("t_max", 3.0), float),
         )
     else:
-        count = int(obj.get("count", 1500 if experiment == "thm33-check" else 200))
+        count = obj.get("count", 1500 if experiment == "thm33-check" else 200)
+        count = _convert("count", count, int)
         if count < 1:
             raise ConfigError("count must be >= 1")
         fams = obj.get(
@@ -147,13 +166,13 @@ def parse_config(obj: dict, seed_override: int | None = None,
         )
         try:
             families = tuple(BasisKind.from_json(k) for k in fams)
-        except (KeyError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"bad basis kind: {exc}") from exc
-        max_coords = int(obj.get("max_coords", 2))
-        max_degree = int(obj.get("max_degree", 6))
+        max_coords = _convert("max_coords", obj.get("max_coords", 2), int)
+        max_degree = _convert("max_degree", obj.get("max_degree", 6), int)
         if experiment == "product-formula-check":
-            max_degree = int(obj.get("p_max", 3))
-            max_coords = int(obj.get("m_max", 4))
+            max_degree = _convert("p_max", obj.get("p_max", 3), int)
+            max_coords = _convert("m_max", obj.get("m_max", 4), int)
         if max_coords < 1 or max_degree < 1:
             raise ConfigError("dimension and degree limits must be >= 1")
         kwargs.update(
@@ -249,17 +268,10 @@ def _run_chaos_check(cfg: ExperimentConfig):
     return columns, rows, summary, failures
 
 
-def _coordinate_moment4(kind: BasisKind, p: int) -> tuple[SpectralFn, float]:
-    """Q_p on a single coordinate (the n = 1 spread) and its moment4 ∫Q_p⁴."""
-    g = product_space(kind, 2 * p, 1).basis_fn((p,))
-    return g, moments.moment4(g)
-
-
 def _run_fmt_verify(cfg: ExperimentConfig):
     spec = cfg.sequence
     tol = cfg.tolerances["closed_form"]
-    g, g_m4 = _coordinate_moment4(spec.kind, spec.p)
-    g_vg = moments.var_gamma(g, g)
+    ref = moments.fmt_report(spec.build(1))  # Q_p on a single coordinate
     columns = [
         "n", "m2", "m4", "m4_expected", "m4_abs_err",
         "var_gamma", "var_gamma_expected", "var_gamma_abs_err",
@@ -269,8 +281,8 @@ def _run_fmt_verify(cfg: ExperimentConfig):
     failures: list[str] = []
     for n in cfg.n_grid:
         rep = moments.fmt_report(spec.build(n), cfg.tolerances["chaos"])
-        m4_exp = 3.0 + (g_m4 - 3.0) / n
-        vg_exp = g_vg / n
+        m4_exp = 3.0 + (ref.m4 - 3.0) / n
+        vg_exp = ref.var_gamma / n
         m4_err = abs(rep.m4 - m4_exp)
         vg_err = abs(rep.var_gamma - vg_exp)
         rows.append([
@@ -286,8 +298,8 @@ def _run_fmt_verify(cfg: ExperimentConfig):
         if not rep.centered:
             failures.append(f"fmt-verify: sequence element not centered at n={n}")
     summary = {
-        "single_coordinate_m4": g_m4,
-        "single_coordinate_var_gamma": g_vg,
+        "single_coordinate_m4": ref.m4,
+        "single_coordinate_var_gamma": ref.var_gamma,
         "m4_sup": max(row[2] for row in rows),
     }
     return columns, rows, summary, failures
@@ -298,17 +310,15 @@ def _run_joint_verify(cfg: ExperimentConfig):
     tol = cfg.tolerances["closed_form"]
     chaos_tol = cfg.tolerances["chaos"]
     # The mixed moment has a closed form only for equal levels.
-    g_m4 = _coordinate_moment4(spec.kind, spec.p1)[1] if spec.p1 == spec.p2 else None
+    g_m4 = (moments.moment4(sequences.spread(spec.kind, spec.p1, 1))
+            if spec.p1 == spec.p2 else None)
     columns = ["n"] + list(CSV_COLUMNS)
     rows: list[list] = []
     per_n = []
     failures: list[str] = []
     for n in cfg.n_grid:
         f1, f2 = spec.build(n)
-        cov = np.array([
-            [inner(f1, f1), inner(f1, f2)],
-            [inner(f2, f1), inner(f2, f2)],
-        ])
+        cov = moments._covariance((f1, f2))
         rep = moments.joint_report((f1, f2), GaussianTarget(cov), chaos_tol)
         vec = spectral.is_chaotic_vector((f1, f2), chaos_tol)
         rho_n = float(cov[0, 1])
@@ -343,30 +353,40 @@ def _run_joint_verify(cfg: ExperimentConfig):
     return columns, rows, {"per_n": per_n}, failures
 
 
+def _vector_args(v: dict) -> tuple[BasisKind, tuple]:
+    """Typed, range-checked fields of a test-vector entry: (kind, args).
+
+    args is (degree, scale) for an eigenfunction and (p1, p2, rho, n) for a
+    pair; a missing field raises KeyError, a malformed one ValueError or TypeError.
+    """
+    vtype = v.get("type")
+    if vtype not in ("eigenfunction", "pair_mixed"):
+        raise ConfigError(f"unknown test-vector type {vtype!r}")
+    kind = BasisKind.from_json(v.get("kind", {"kind": "hermite"}))
+    if vtype == "eigenfunction":
+        degree, scale = int(v["degree"]), float(v.get("scale", 1.0))
+        sequences._check_spread(degree)
+        if not math.isfinite(scale):
+            raise ValueError(f"scale must be finite, got {scale}")
+        return kind, (degree, scale)
+    p1, p2, rho, n = int(v["p1"]), int(v["p2"]), float(v.get("rho", 0.0)), int(v["n"])
+    sequences._check_pair_mixed(p1, p2, rho)
+    if n < 1:
+        raise ValueError("pair_mixed needs n >= 1")
+    return kind, (p1, p2, rho, n)
+
+
 def build_test_vector(v: dict) -> tuple[tuple[SpectralFn, ...], GaussianTarget, str]:
     """Construct a named test vector and its exact covariance from a config entry."""
-    vtype = v.get("type")
-    if vtype == "eigenfunction":
-        kind = BasisKind.from_json(v.get("kind", {"kind": "hermite"}))
-        p = int(v["degree"])
-        scale = float(v.get("scale", 1.0))
-        space = product_space(kind, 2 * p, 1)
-        f = space.basis_fn((p,), coeff=scale)
-        fs: tuple[SpectralFn, ...] = (f,)
+    kind, args = _vector_args(v)
+    if v["type"] == "eigenfunction":
+        p, scale = args
+        fs: tuple[SpectralFn, ...] = (sequences.spread(kind, p, 1).scale(scale),)
         name = v.get("name", f"{kind.label()}-Q{p}")
-    elif vtype == "pair_mixed":
-        kind = BasisKind.from_json(v.get("kind", {"kind": "hermite"}))
-        f1, f2 = sequences.pair_mixed(
-            int(v["p1"]), int(v["p2"]), float(v.get("rho", 0.0)), int(v["n"]),
-            kind=kind,
-        )
-        fs = (f1, f2)
-        name = v.get("name", f"pair({v['p1']},{v['p2']},{v.get('rho', 0.0)},{v['n']})")
     else:
-        raise ConfigError(f"unknown test-vector type {vtype!r}")
-    d = len(fs)
-    cov = np.array([[inner(fs[i], fs[j]) for j in range(d)] for i in range(d)])
-    return fs, GaussianTarget(cov), str(name)
+        fs = sequences.pair_mixed(*args, kind=kind)
+        name = v.get("name", f"pair({v['p1']},{v['p2']},{v.get('rho', 0.0)},{v['n']})")
+    return fs, GaussianTarget(moments._covariance(fs)), str(name)
 
 
 def t_grid(axis: tuple[float, ...], dim: int, t_max: float) -> list[np.ndarray]:

@@ -19,7 +19,7 @@ Tolerances only absorb double-precision rounding.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -29,11 +29,11 @@ from .spectral import (
     EPS_GROUP,
     SpectralFn,
     _check_same_space,
+    _membership,
     apply_Linv,
     eigenfunction_eigenvalue,
     gamma,
     inner,
-    is_chaotic,
     multiply,
 )
 
@@ -85,10 +85,13 @@ def mixed22(f: SpectralFn, g: SpectralFn) -> float:
     return inner(multiply(f, f), multiply(g, g))
 
 
+def _variance(h: SpectralFn) -> float:
+    return inner(h, h) - h.integral() ** 2
+
+
 def var_gamma(f: SpectralFn, g: SpectralFn) -> float:
     """Var Gamma(F,G) = int Gamma(F,G)^2 dmu - (int Gamma(F,G) dmu)^2."""
-    h = gamma(f, g)
-    return inner(h, h) - h.integral() ** 2
+    return _variance(gamma(f, g))
 
 
 def gaussian_mixed(c: GaussianTarget, i: int, j: int) -> float:
@@ -127,9 +130,34 @@ def thm33_sides(f: SpectralFn, eta: float) -> tuple[float, float]:
     return lhs, eta * rhs
 
 
-def _gamma_linv(f: SpectralFn, g: SpectralFn) -> SpectralFn:
-    """Gamma(F, -L^-1 G)."""
-    return gamma(f, -apply_Linv(g))
+def _gammas(fs: tuple[SpectralFn, ...]) -> list[list[SpectralFn]]:
+    return [[gamma(fi, -apply_Linv(fj)) for fj in fs] for fi in fs]
+
+
+def _target(fs: tuple[SpectralFn, ...], c: GaussianTarget | np.ndarray) -> GaussianTarget:
+    """c as a GaussianTarget for the components fs, which must be centered."""
+    c = c if isinstance(c, GaussianTarget) else GaussianTarget(np.asarray(c))
+    if c.dim != len(fs):
+        raise ValueError("covariance dimension does not match component count")
+    for k, f in enumerate(fs):
+        if abs(f.integral()) > EPS_ORTH:
+            raise ValueError(f"component {k} is not centered (mean {f.integral()})")
+    return c
+
+
+def _covariance(fs: list[SpectralFn] | tuple[SpectralFn, ...]) -> np.ndarray:
+    """Exact covariance matrix [[int F_i F_j dmu]] of the components."""
+    return np.array([[inner(f, g) for g in fs] for f in fs])
+
+
+def _prop31(gammas: list[list[SpectralFn]], c: GaussianTarget) -> float:
+    """sqrt(sum_ij int (C_ij - G_ij)^2 dmu) for G_ij = Gamma(F_i, -L^-1 F_j)."""
+    total = 0.0
+    for i, row in enumerate(gammas):
+        for j, g in enumerate(row):
+            dev = g.shift_mean(-c.entry(i, j))
+            total += inner(dev, dev)
+    return float(np.sqrt(max(total, 0.0)))
 
 
 def prop31_bound(fs: list[SpectralFn] | tuple[SpectralFn, ...],
@@ -140,18 +168,26 @@ def prop31_bound(fs: list[SpectralFn] | tuple[SpectralFn, ...],
     this value.  Components must be centered.
     """
     fs = tuple(fs)
-    c = c if isinstance(c, GaussianTarget) else GaussianTarget(np.asarray(c))
-    if c.dim != len(fs):
-        raise ValueError("covariance dimension does not match component count")
-    for k, f in enumerate(fs):
-        if abs(f.integral()) > EPS_ORTH:
-            raise ValueError(f"component {k} is not centered (mean {f.integral()})")
-    total = 0.0
-    for i, fi in enumerate(fs):
-        for j, fj in enumerate(fs):
-            dev = _gamma_linv(fi, fj).shift_mean(-c.entry(i, j))
-            total += inner(dev, dev)
-    return float(np.sqrt(max(total, 0.0)))
+    c = _target(fs, c)
+    return _prop31(_gammas(fs), c)
+
+
+def _remainder(c: GaussianTarget, i: int, j: int, lam_i: float, lam_j: float,
+               c_ii: float, c_jj: float, c_ij: float, m22: float) -> float:
+    """R_ij from the eigenvalues, exact covariances and mixed moment of a pair."""
+    if lam_i <= 0.0 or lam_j <= 0.0:
+        raise ValueError("constant components are not admissible (zero eigenvalue)")
+    distinct = abs(lam_i - lam_j) > EPS_GROUP * (1.0 + max(lam_i, lam_j))
+    if distinct and abs(c.entry(i, j)) > 1e-12:
+        raise ValueError(
+            f"C[{i},{j}] must vanish across distinct eigenvalues "
+            f"({lam_i} vs {lam_j})"
+        )
+    a_ij = a_coeff(lam_i, lam_j)
+    return (
+        lam_j * (0.5 * m22 - 0.5 * c_ii * c_jj - a_ij * c_ij * c_ij)
+        - c_ij * c_ij * (1.0 - a_ij) / lam_j
+    )
 
 
 def remainder_r(f_i: SpectralFn, f_j: SpectralFn, c: GaussianTarget,
@@ -164,25 +200,9 @@ def remainder_r(f_i: SpectralFn, f_j: SpectralFn, c: GaussianTarget,
     (eigenfunctions of different levels are orthogonal).
     """
     _check_same_space(f_i, f_j)
-    lam_i = eigenfunction_eigenvalue(f_i, tol)
-    lam_j = eigenfunction_eigenvalue(f_j, tol)
-    if lam_i <= 0.0 or lam_j <= 0.0:
-        raise ValueError("constant components are not admissible (zero eigenvalue)")
-    distinct = abs(lam_i - lam_j) > EPS_GROUP * (1.0 + max(lam_i, lam_j))
-    if distinct and abs(c.entry(i, j)) > 1e-12:
-        raise ValueError(
-            f"C[{i},{j}] must vanish across distinct eigenvalues "
-            f"({lam_i} vs {lam_j})"
-        )
-    a_ij = a_coeff(lam_i, lam_j)
-    c_ii = inner(f_i, f_i)
-    c_jj = inner(f_j, f_j)
-    c_ij = inner(f_i, f_j)
-    m22 = mixed22(f_i, f_j)
-    return (
-        lam_j * (0.5 * m22 - 0.5 * c_ii * c_jj - a_ij * c_ij * c_ij)
-        - c_ij * c_ij * (1.0 - a_ij) / lam_j
-    )
+    lam_i, lam_j = eigenfunction_eigenvalue(f_i, tol), eigenfunction_eigenvalue(f_j, tol)
+    return _remainder(c, i, j, lam_i, lam_j, inner(f_i, f_i), inner(f_j, f_j),
+                      inner(f_i, f_j), mixed22(f_i, f_j))
 
 
 @dataclass(frozen=True)
@@ -196,13 +216,7 @@ class FmtReport:
     centered: bool
 
     def to_dict(self) -> dict:
-        return {
-            "m2": self.m2,
-            "m4": self.m4,
-            "var_gamma": self.var_gamma,
-            "chaotic": self.chaotic,
-            "centered": self.centered,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True, eq=False)
@@ -248,38 +262,46 @@ class JointReport:
         return rows
 
 
-def fmt_report(f: SpectralFn, tol: float = CHAOS_TOL) -> FmtReport:
+def _fmt(f: SpectralFn, sq: SpectralFn, lam: float, tol: float) -> FmtReport:
+    """FmtReport of F from its square and eigenvalue."""
     return FmtReport(
         m2=inner(f, f),
-        m4=moment4(f),
+        m4=inner(sq, sq),
         var_gamma=var_gamma(f, f),
-        chaotic=bool(is_chaotic(f, tol)),
+        chaotic=_membership(sq, 2.0 * lam, tol, lam).ok,
         centered=abs(f.integral()) <= EPS_ORTH,
     )
+
+
+def fmt_report(f: SpectralFn, tol: float = CHAOS_TOL) -> FmtReport:
+    return _fmt(f, multiply(f, f), eigenfunction_eigenvalue(f, tol), tol)
 
 
 def joint_report(fs: list[SpectralFn] | tuple[SpectralFn, ...],
                  c: GaussianTarget | np.ndarray,
                  tol: float = CHAOS_TOL) -> JointReport:
+    """Pairwise diagnostics of a centered eigenfunction vector.  Each F_i^2 and
+    each Gamma(F_i, -L^-1 F_j) is built once; every entry equals fmt_report,
+    mixed22, remainder_r, var_gamma or prop31_bound of the same inputs bit for bit."""
     fs = tuple(fs)
-    c = c if isinstance(c, GaussianTarget) else GaussianTarget(np.asarray(c))
+    c = _target(fs, c)
     d = len(fs)
-    if c.dim != d:
-        raise ValueError("covariance dimension does not match component count")
-    comps = tuple(fmt_report(f, tol) for f in fs)
+    squares = [multiply(f, f) for f in fs]
     lams = tuple(eigenfunction_eigenvalue(f, tol) for f in fs)
-    cov = np.zeros((d, d))
+    comps = tuple(_fmt(f, sq, lam, tol) for f, sq, lam in zip(fs, squares, lams))
+    gammas = _gammas(fs)
+    cov = _covariance(fs)
     m22 = np.zeros((d, d))
     iss = np.zeros((d, d))
     rmat = np.zeros((d, d))
     vg = np.zeros((d, d))
     for i in range(d):
         for j in range(d):
-            cov[i, j] = inner(fs[i], fs[j])
-            m22[i, j] = mixed22(fs[i], fs[j])
+            m22[i, j] = inner(squares[i], squares[j])
             iss[i, j] = gaussian_mixed(c, i, j)
-            rmat[i, j] = remainder_r(fs[i], fs[j], c, i, j, tol)
-            vg[i, j] = var_gamma(fs[i], -apply_Linv(fs[j]))
+            rmat[i, j] = _remainder(c, i, j, lams[i], lams[j],
+                                    cov[i, i], cov[j, j], cov[i, j], m22[i, j])
+            vg[i, j] = _variance(gammas[i][j])
     return JointReport(
         components=comps,
         eigenvalues=lams,
@@ -288,5 +310,5 @@ def joint_report(fs: list[SpectralFn] | tuple[SpectralFn, ...],
         isserlis=iss,
         r_matrix=rmat,
         var_gamma_m=vg,
-        prop31=prop31_bound(fs, c),
+        prop31=_prop31(gammas, c),
     )

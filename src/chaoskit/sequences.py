@@ -17,8 +17,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .basis import BasisKind, hermite, make_basis
-from .spectral import ProductSpace, SpectralFn
+from .basis import BasisKind, hermite
+from .spectral import SpectralFn, product_space
 
 
 @dataclass(frozen=True)
@@ -73,8 +73,18 @@ def _check_spread(p: int) -> None:
 def _check_pair_mixed(p1: int, p2: int, rho: float) -> None:
     if p1 < 1 or p2 < 1:
         raise ValueError("pair_mixed needs p1, p2 >= 1")
-    if abs(rho) > 1.0:
+    if not abs(rho) <= 1.0:  # also refuses NaN
         raise ValueError(f"requested covariance {rho} is infeasible (|rho| <= 1)")
+
+
+def _unit_terms(d: int, coords: range, p: int, w: float) -> dict:
+    """{w Q_p(X_k) : k in coords} as multi-index coefficients on d coordinates."""
+    coeffs = {}
+    for k in coords:
+        alpha = [0] * d
+        alpha[k] = p
+        coeffs[tuple(alpha)] = w
+    return coeffs
 
 
 def spread(kind: BasisKind, p: int, n: int) -> SpectralFn:
@@ -82,15 +92,9 @@ def spread(kind: BasisKind, p: int, n: int) -> SpectralFn:
     _check_spread(p)
     if n < 1:
         raise ValueError("spread needs n >= 1")
-    basis = make_basis(kind, 2 * p)
-    space = ProductSpace((basis,) * n)
+    space = product_space(kind, 2 * p, n)
     w = 1.0 / math.sqrt(n)
-    coeffs = {}
-    for k in range(n):
-        alpha = [0] * n
-        alpha[k] = p
-        coeffs[tuple(alpha)] = w
-    return SpectralFn(space, coeffs)
+    return SpectralFn(space, _unit_terms(n, range(n), p, w))
 
 
 def shared_coordinates(rho: float, n: int) -> int:
@@ -113,23 +117,9 @@ def pair_mixed(p1: int, p2: int, rho: float, n: int,
     kind = hermite() if kind is None else kind
     s = shared_coordinates(rho, n)
     d = 2 * n - s
-    basis = make_basis(kind, 2 * max(p1, p2))
-    space = ProductSpace((basis,) * d)
+    space = product_space(kind, 2 * max(p1, p2), d)
     w = 1.0 / math.sqrt(n)
     sign = -1.0 if rho < 0 else 1.0
-
-    first = {}
-    for k in range(n):
-        alpha = [0] * d
-        alpha[k] = p1
-        first[tuple(alpha)] = w
-    second = {}
-    for k in range(s):
-        alpha = [0] * d
-        alpha[k] = p2
-        second[tuple(alpha)] = sign * w
-    for k in range(n, 2 * n - s):
-        alpha = [0] * d
-        alpha[k] = p2
-        second[tuple(alpha)] = w
+    first = _unit_terms(d, range(n), p1, w)
+    second = _unit_terms(d, range(s), p2, sign * w) | _unit_terms(d, range(n, d), p2, w)
     return SpectralFn(space, first), SpectralFn(space, second)

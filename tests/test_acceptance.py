@@ -2,7 +2,7 @@
 
 Each test prints a PASS/FAIL line (visible with `pytest -s`).  Criterion 5's
 0.15 threshold at n = 32 is exactly derivable as unattainable for this
-sequence family (the three gated quantities are 0.375, 0.433 and 0.1875 at
+sequence family (the three gated quantities are 0.375, 0.433 and 0.375 at
 n = 32); the check is kept as stated rather than recalibrated, so
 `test_criterion_5b_threshold_at_n32` fails by design.  Everything else passes.
 """
@@ -177,7 +177,7 @@ def test_criterion_5b_threshold_at_n32():
     0.1875 off-diagonal) and 2 sqrt((1 + rho_n)/n) = 0.433 (prop31), all above
     0.15.  The off-diagonal quantities first drop below 0.15 at n = 40 and
     prop31 only near n = 270, so no reading of the grid reaches the stated
-    threshold.  See the repository notes for the derivation.
+    threshold.  See README "Known-red acceptance check" for the derivation.
     """
     rho_n, rep, r_max, gap_max = _joint_quantities(32)
     ok = r_max < 0.15 and rep.prop31 < 0.15 and gap_max < 0.15

@@ -88,6 +88,19 @@ def test_eigenrelation_at_quadrature_nodes():
             assert np.abs(resid).max() <= 1e-9 * (1.0 + lam)
 
 
+def test_construction_refuses_wrong_eigenvalue_table():
+    """The eigenrelation check names the lowest degree whose eigenvalue is wrong."""
+    from chaoskit.basis import Basis, _check_basis
+
+    good = make_basis(hermite(), 6)
+    lams = good.eigenvalues.copy()
+    lams[3] += 0.25
+    lams[5] += 0.5
+    bad = Basis(good.kind, good.max_degree, good.rec_a, good.rec_b, lams)
+    with pytest.raises(RuntimeError, match=r"eigenrelation fails at degree 3 \(residual"):
+        _check_basis(bad)
+
+
 def test_parameter_validation():
     with pytest.raises(ValueError):
         laguerre(-1.0)

@@ -57,6 +57,9 @@ def test_exit_code_two_on_config_errors(tmp_path, capsys):
     assert "strictly increasing" in err
     mismatched = fmt_config(tmp_path)
     assert main(["thm33-check", "--config", mismatched]) == 2
+    malformed = fmt_config(tmp_path, n_grid=[1, "x"])
+    assert main(["fmt-verify", "--config", malformed]) == 2
+    assert "'n_grid'" in capsys.readouterr().err
 
 
 def test_unknown_experiment_rejected_by_argparse(tmp_path):
@@ -216,3 +219,27 @@ def test_parse_config_validation():
                       "vectors": [{"type": "eigenfunction"}]})  # missing degree
     with pytest.raises(ConfigError):
         parse_config({"experiment": "thm33-check", "count": 0})
+    # Malformed values are config errors too, not tracebacks.
+    q1 = {"type": "eigenfunction", "degree": 1}
+    pair = {"type": "pair_mixed", "p1": 2, "p2": 2, "rho": 0.5, "n": 2}
+    for obj in (
+        {"experiment": "thm33-check", "count": "many"},
+        {"experiment": "thm33-check", "seed": "abc"},
+        {"experiment": "thm33-check", "tolerances": {"thm33": "tiny"}},
+        {"experiment": "thm33-check", "families": ["hermite"]},
+        {"experiment": "fmt-verify", "sequence": SPREAD, "n_grid": [1, "x"]},
+        {"experiment": "fmt-verify", "sequence": "spread", "n_grid": [1]},
+        {"experiment": "bound-check", "vectors": [q1], "n_samples": "1e5"},
+        {"experiment": "bound-check", "vectors": [dict(q1, degree="two")]},
+        {"experiment": "bound-check", "vectors": [dict(q1, degree=0)]},
+        {"experiment": "bound-check", "vectors": [dict(q1, scale="half")]},
+        {"experiment": "bound-check", "vectors": [dict(q1, scale=float("nan"))]},
+        {"experiment": "bound-check", "vectors": [dict(q1, kind="hermite")]},
+        {"experiment": "bound-check", "vectors": [dict(pair, p1="x")]},
+        {"experiment": "bound-check", "vectors": [dict(pair, rho=2.0)]},
+        {"experiment": "bound-check", "vectors": [dict(pair, rho=float("nan"))]},
+        {"experiment": "bound-check", "vectors": [dict(pair, n=0)]},
+        {"experiment": "bound-check", "vectors": ["q1"]},
+    ):
+        with pytest.raises(ConfigError):
+            parse_config(obj)

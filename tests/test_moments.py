@@ -258,6 +258,7 @@ def test_fmt_report_examples():
     rep = fmt_report(H1.unit())
     assert rep.m2 == 1.0 and rep.m4 == 1.0 and rep.var_gamma == 0.0
     assert not rep.centered  # degenerate constant flagged
+    assert list(rep.to_dict()) == ["m2", "m4", "var_gamma", "chaotic", "centered"]
 
 
 def test_joint_report_independent_pair():
@@ -284,6 +285,25 @@ def test_joint_report_dict_and_csv_schema():
     )
     for row in rep.csv_rows():
         assert len(row) == len(CSV_COLUMNS)
+
+
+@pytest.mark.parametrize("kind", [hermite(), laguerre(0.5), jacobi(2.0, 3.0)],
+                         ids=lambda k: k.label())
+@pytest.mark.parametrize("p1, p2, rho", [(2, 2, 0.5), (2, 2, -0.5), (1, 2, 0.5)])
+def test_joint_report_matches_pair_api_bitwise(kind, p1, p2, rho):
+    """joint_report shares squares and Gammas; every entry still equals the
+    per-pair function of the same inputs exactly."""
+    fs = pair_mixed(p1, p2, rho, 3, kind=kind)
+    c = GaussianTarget(np.array([[inner(f, g) for g in fs] for f in fs]))
+    rep = joint_report(fs, c)
+    for i, fi in enumerate(fs):
+        assert rep.components[i] == fmt_report(fi)
+        for j, fj in enumerate(fs):
+            assert rep.cov[i, j] == inner(fi, fj)
+            assert rep.mixed22[i, j] == mixed22(fi, fj)
+            assert rep.r_matrix[i, j] == remainder_r(fi, fj, c, i, j)
+            assert rep.var_gamma_m[i, j] == var_gamma(fi, -apply_Linv(fj))
+    assert rep.prop31 == prop31_bound(fs, c)
 
 
 def _random_level_pair(space, li, lj, rng):
