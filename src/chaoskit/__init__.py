@@ -15,7 +15,6 @@ from .basis import (
     hermite,
     jacobi,
     laguerre,
-    linearize,
     make_basis,
 )
 from .moments import (
@@ -61,7 +60,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Basis", "BasisKind", "hermite", "laguerre", "jacobi", "make_basis",
-    "gauss_quadrature", "linearize",
+    "gauss_quadrature",
     "ProductSpace", "product_space", "MultiIndex", "SpectralFn", "Spectrum",
     "ChaosCheck", "VectorChaosCheck",
     "inner", "multiply", "apply_L", "apply_Linv", "gamma", "project",

@@ -12,14 +12,14 @@ Three families are supported, each pinned to a fixed operator convention:
 All polynomials are stored orthonormal with respect to mu, so inner products
 reduce to coefficient dot products.  Laguerre polynomials carry the classical
 (-1)^p sign (Q_1 = 1 - x); Hermite and Jacobi use a positive leading
-coefficient.  Construction verifies orthonormality and the eigenrelation
-L Q_p = -lambda_p Q_p at the Gauss nodes and refuses bases that fail.
+coefficient.  Products Q_m Q_n are linearized by the three-term recurrence in
+coefficient space; Gauss quadrature serves only the construction check of
+orthonormality and of L Q_p = -lambda_p Q_p, which refuses bases that fail.
 """
 
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -79,16 +79,10 @@ class BasisKind:
         a, b = self.params
         return 1.0 - x * x, -((a + b) * x + (a - b))
 
-    def sign(self, p: int) -> float:
-        """Sign fixing the classical normalization of degree p."""
-        if self.family == "laguerre":
-            return -1.0 if p % 2 else 1.0
-        return 1.0
-
     def recurrence(self, max_degree: int) -> tuple[np.ndarray, np.ndarray]:
         """Orthonormal three-term recurrence x Q_k = b_{k+1} Q_{k+1} + a_k Q_k + b_k Q_{k-1}.
 
-        Signs are not applied here; `Basis` evaluation folds them in.
+        The classical Laguerre sign (-1)^k of Q_k makes every Laguerre b_k negative.
         """
         n = max_degree
         a = np.zeros(n + 1)
@@ -100,7 +94,7 @@ class BasisKind:
             k = np.arange(n + 1, dtype=float)
             a[:] = 2 * k + alpha + 1
             kk = np.arange(1, n + 1, dtype=float)
-            b[1:] = np.sqrt(kk * (kk + alpha))
+            b[1:] = -np.sqrt(kk * (kk + alpha))
         else:
             pa, pb = self.params
             A, B = pa - 1.0, pb - 1.0
@@ -147,11 +141,7 @@ def jacobi(a: float, b: float) -> BasisKind:
 
 @dataclass(frozen=True, eq=False)
 class Basis:
-    """One coordinate's orthonormal eigensystem Q_0..Q_max_degree with eigenvalues.
-
-    Immutable after construction; the linearization cache is lock-protected so
-    instances can be shared across threads.
-    """
+    """One coordinate's orthonormal eigensystem Q_0..Q_max_degree with eigenvalues."""
 
     kind: BasisKind
     max_degree: int
@@ -159,7 +149,6 @@ class Basis:
     rec_b: np.ndarray
     eigenvalues: np.ndarray
     _lin_cache: dict = field(default_factory=dict, repr=False)
-    _lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Basis):
@@ -185,8 +174,7 @@ class Basis:
             out[1] = (x - a[0]) / b[1]
         for k in range(1, deg):
             out[k + 1] = ((x - a[k]) * out[k] - b[k] * out[k - 1]) / b[k + 1]
-        signs = np.array([self.kind.sign(p) for p in range(deg + 1)])
-        return out * signs[:, None]
+        return out
 
     def eval_with_derivatives(self, x: np.ndarray, deg: int | None = None,
                               ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -205,32 +193,36 @@ class Basis:
             q[k + 1] = ((x - a[k]) * q[k] - b[k] * q[k - 1]) / b[k + 1]
             d1[k + 1] = (q[k] + (x - a[k]) * d1[k] - b[k] * d1[k - 1]) / b[k + 1]
             d2[k + 1] = (2 * d1[k] + (x - a[k]) * d2[k] - b[k] * d2[k - 1]) / b[k + 1]
-        signs = np.array([self.kind.sign(p) for p in range(deg + 1)])[:, None]
-        return q * signs, d1 * signs, d2 * signs
-
-    def quadrature(self, nodes: int) -> tuple[np.ndarray, np.ndarray]:
-        return gauss_quadrature(self, nodes)
+        return q, d1, d2
 
     def linearize(self, m: int, n: int) -> np.ndarray:
-        """Coefficients c_0..c_{m+n} of Q_m Q_n = sum_k c_k Q_k (cached)."""
+        """Coefficients c_0..c_{m+n} of Q_m Q_n = sum_k c_k Q_k (cached).
+
+        From Q_hi Q_0 = Q_hi, the recurrence runs lo = min(m, n) steps on
+        coefficient vectors, where x acts as the Jacobi operator.
+        """
         if m < 0 or n < 0:
             raise ValueError("degrees must be nonnegative")
         if m + n > self.max_degree:
             raise ValueError(
                 f"product degree {m + n} exceeds max_degree {self.max_degree}"
             )
-        key = (m, n) if m <= n else (n, m)
-        with self._lock:
-            hit = self._lin_cache.get(key)
+        lo, hi = sorted((m, n))
+        hit = self._lin_cache.get((lo, hi))
         if hit is not None:
             return hit
-        x, w = self.quadrature(m + n + 1)
-        q = self.eval_all(x, deg=m + n)
-        c = q[: m + n + 1] @ (w * q[key[0]] * q[key[1]])
-        c.setflags(write=False)
-        with self._lock:
-            self._lin_cache[key] = c
-        return c
+        a = self.rec_a[: m + n + 1]
+        b = self.rec_b[: m + n + 1]
+        prev, cur = np.zeros(m + n + 1), np.zeros(m + n + 1)
+        cur[hi] = 1.0
+        for j in range(lo):
+            nxt = (a - a[j]) * cur - b[j] * prev
+            nxt[1:] += b[1:] * cur[:-1]
+            nxt[:-1] += b[1:] * cur[1:]
+            prev, cur = cur, nxt / b[j + 1]
+        cur.setflags(write=False)
+        self._lin_cache[(lo, hi)] = cur
+        return cur
 
 
 def make_basis(kind: BasisKind, max_degree: int) -> Basis:
@@ -263,17 +255,10 @@ def gauss_quadrature(basis: Basis, nodes: int) -> tuple[np.ndarray, np.ndarray]:
             f"basis has max_degree {basis.max_degree}"
         )
     a, b = basis.rec_a, basis.rec_b
-    if nodes == 1:
-        return a[:1].copy(), np.ones(1)
     jac = np.diag(a[:nodes]) + np.diag(b[1:nodes], 1) + np.diag(b[1:nodes], -1)
     x, vec = np.linalg.eigh(jac)
     w = vec[0, :] ** 2
     return x, w
-
-
-def linearize(basis: Basis, m: int, n: int) -> np.ndarray:
-    """Product linearization Q_m Q_n = sum_k c_k Q_k; see Basis.linearize."""
-    return basis.linearize(m, n)
 
 
 def _check_basis(basis: Basis) -> None:
@@ -288,7 +273,7 @@ def _check_basis(basis: Basis) -> None:
     if deg == 0:
         return
 
-    x, w = basis.quadrature(deg + 1)
+    x, w = gauss_quadrature(basis, deg + 1)
     # Extreme-node weights can underflow to exact zero around degree ~400;
     # they are squares, so anything negative would be a real defect.
     if np.any(w < 0):

@@ -133,6 +133,10 @@ def parse_config(obj: dict, seed_override: int | None = None,
             raise ConfigError("joint-verify needs a pair_mixed sequence")
         kwargs.update(sequence=spec, n_grid=grid)
     elif experiment == "bound-check":
+        t_axis = _convert("t_axis", obj.get("t_axis", (0.25, 0.5, 1.0, 2.0)), _floats)
+        t_max = _convert("t_max", obj.get("t_max", 3.0), float)
+        if not all(math.isfinite(t) for t in (*t_axis, t_max)):
+            raise ConfigError("t_axis entries and t_max must be finite")
         vectors = _convert("vectors", _require(obj, "vectors"), tuple)
         if not vectors:
             raise ConfigError("bound-check needs at least one test vector")
@@ -145,14 +149,12 @@ def parse_config(obj: dict, seed_override: int | None = None,
                 raise ConfigError(f"vector spec {v!r} is missing {exc}") from exc
             except (TypeError, ValueError) as exc:
                 raise ConfigError(f"bad vector spec {v!r}: {exc}") from exc
+            if not t_grid(t_axis, 1 if v["type"] == "eigenfunction" else 2, t_max):
+                raise ConfigError(f"vector spec {v!r} has no grid point with ||t|| <= t_max")
         n_samples = _convert("n_samples", obj.get("n_samples", 100_000), int)
         if n_samples < 1:
             raise ConfigError("n_samples must be >= 1")
-        t_axis = _convert("t_axis", obj.get("t_axis", (0.25, 0.5, 1.0, 2.0)), _floats)
-        kwargs.update(
-            vectors=vectors, n_samples=n_samples, t_axis=t_axis,
-            t_max=_convert("t_max", obj.get("t_max", 3.0), float),
-        )
+        kwargs.update(vectors=vectors, n_samples=n_samples, t_axis=t_axis, t_max=t_max)
     else:
         count = obj.get("count", 1500 if experiment == "thm33-check" else 200)
         count = _convert("count", count, int)

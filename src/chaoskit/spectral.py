@@ -4,9 +4,10 @@ Functions on a product space E = E_1 x ... x E_d carrying mu = mu_1 x ... x mu_d
 are stored as finite sparse expansions over the tensor-product eigenbasis
 Q_alpha = Q_{alpha_1} x ... x Q_{alpha_d}.  The generator L = sum_i L_i acts
 diagonally with eigenvalue -Lambda(alpha), Lambda(alpha) = sum_i lambda_{alpha_i},
-which makes L, its pseudo-inverse, the carre du champ
-Gamma(F,G) = (L(FG) - F LG - G LF)/2, spectral projections and
-chaos-membership checks exact coefficient algebra.
+which makes L, its pseudo-inverse, products, the carre du champ
+Gamma(F,G) = (L(FG) - F LG - G LF)/2, spectral projections and chaos-membership
+checks exact coefficient algebra.  Products and Gamma = sum_i Gamma_i
+(tensorization) share one expansion of each pair of basis functions.
 """
 
 from __future__ import annotations
@@ -195,13 +196,27 @@ def inner(f: SpectralFn, g: SpectralFn) -> float:
 
 def multiply(f: SpectralFn, g: SpectralFn) -> SpectralFn:
     """Exact pointwise product, via per-coordinate linearization of Q_m Q_n."""
+    return _pair_expand(f, g, carre=False)
+
+
+def gamma(f: SpectralFn, g: SpectralFn) -> SpectralFn:
+    """Carre du champ (L(FG) - F LG - G LF) / 2, by tensorization Gamma = sum_i Gamma_i.
+
+    Gamma_i weights the linearization c_k of Q_m Q_n on a coordinate both factors
+    carry by (lambda_m + lambda_n - lambda_k) / 2; disjoint pairs add nothing.
+    """
+    return _pair_expand(f, g, carre=True)
+
+
+def _pair_expand(f: SpectralFn, g: SpectralFn, carre: bool) -> SpectralFn:
+    """Expand each pair Q_alpha Q_beta coordinate by coordinate; into Gamma if carre."""
     _check_same_space(f, g)
     space = f.space
     acc: dict[MultiIndex, float] = {}
     for alpha, fa in f.items_sorted():
         for beta, gb in g.items_sorted():
             base = fa * gb
-            fixed = [da + db for da, db in zip(alpha, beta)]
+            fixed = tuple(da + db for da, db in zip(alpha, beta))
             expand: list[tuple[int, np.ndarray]] = []
             for i, (da, db) in enumerate(zip(alpha, beta)):
                 if da + db > space.coords[i].max_degree:
@@ -211,7 +226,13 @@ def multiply(f: SpectralFn, g: SpectralFn) -> SpectralFn:
                     )
                 if da and db:
                     expand.append((i, space.coords[i].linearize(da, db)))
-            _accumulate(acc, tuple(fixed), base, expand, 0)
+            if not carre:
+                _accumulate(acc, fixed, base, expand, 0)
+                continue
+            for j, (i, c) in enumerate(expand):
+                lam = space.coords[i].eigenvalues
+                gam = 0.5 * (lam[alpha[i]] + lam[beta[i]] - lam[: c.size]) * c
+                _accumulate(acc, fixed, base, [*expand[:j], (i, gam), *expand[j + 1:]], 0)
     return SpectralFn(space, acc)
 
 
@@ -246,13 +267,6 @@ def apply_Linv(f: SpectralFn) -> SpectralFn:
         if lam != 0.0:
             out[alpha] = -v / lam
     return SpectralFn(space, out)
-
-
-def gamma(f: SpectralFn, g: SpectralFn) -> SpectralFn:
-    """Carre du champ Gamma(F,G) = (L(FG) - F LG - G LF) / 2."""
-    fg = multiply(f, g)
-    t = apply_L(fg) - multiply(f, apply_L(g)) - multiply(g, apply_L(f))
-    return t.scale(0.5)
 
 
 def spectrum(f: SpectralFn) -> Spectrum:

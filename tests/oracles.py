@@ -2,17 +2,23 @@
 
 Everything here is deliberately implemented without the library's recurrence /
 quadrature machinery: exact measure moments, Gram-Schmidt orthonormalization
-over those moments, symbolic application of the pinned generators, and
-brute-force tensor algebra.  Results are exact (sympy) or plain loops, so they
-can serve as oracles for the fast implementations.
+over those moments, symbolic application of the pinned generators, closed and
+50-digit forms of product linearization, and brute-force tensor algebra.
+Results are exact (sympy), high precision (mpmath) or plain loops, so they can
+serve as oracles for the fast implementations.  The one exception is
+`gamma_by_products`, a kept reference formula built on the library's products.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 
+import mpmath as mp
 import numpy as np
 import sympy as sp
+
+from chaoskit import apply_L, multiply
 
 X = sp.Symbol("x")
 
@@ -91,6 +97,80 @@ def eigen_defect(kind, poly, lam) -> sp.Expr:
 def triple_product(kind, polys, m: int, n: int, k: int) -> sp.Expr:
     """Exact int Q_m Q_n Q_k dmu from Gram-Schmidt polynomials."""
     return integrate_poly(kind, polys[m] * polys[n] * polys[k])
+
+
+def hermite_linearization(m: int, n: int) -> np.ndarray:
+    """Closed form of Q_m Q_n for orthonormal Hermite, rounded from 50 digits:
+
+    Q_m Q_n = sum_r sqrt(m! n! (m+n-2r)!) / (r! (m-r)! (n-r)!) Q_{m+n-2r}.
+    """
+    out = np.zeros(m + n + 1)
+    with mp.workdps(50):
+        for r in range(min(m, n) + 1):
+            top = math.factorial(m) * math.factorial(n) * math.factorial(m + n - 2 * r)
+            bottom = math.factorial(r) * math.factorial(m - r) * math.factorial(n - r)
+            out[m + n - 2 * r] = float(mp.sqrt(top) / bottom)
+    return out
+
+
+def _recurrence_mp(kind, n: int) -> tuple[list, list]:
+    """Unsigned orthonormal recurrence coefficients a_0..a_n, b_0..b_n (b_0 = 0)."""
+    a = [mp.mpf(0)] * (n + 1)
+    b = [mp.mpf(0)] * (n + 1)
+    if kind.family == "hermite":
+        b[1:] = [mp.sqrt(k) for k in range(1, n + 1)]
+    elif kind.family == "laguerre":
+        alpha = mp.mpf(kind.params[0])
+        a = [2 * k + alpha + 1 for k in range(n + 1)]
+        b[1:] = [mp.sqrt(k * (k + alpha)) for k in range(1, n + 1)]
+    else:
+        # weight (1-x)^A (1+x)^B with A = a - 1, B = b - 1
+        A, B = mp.mpf(kind.params[0]) - 1, mp.mpf(kind.params[1]) - 1
+        s = A + B
+        a[0] = (B - A) / (s + 2)
+        a[1:] = [(B * B - A * A) / ((2 * k + s) * (2 * k + s + 2)) for k in range(1, n + 1)]
+        b[1] = mp.sqrt(4 * (1 + A) * (1 + B) / ((s + 2) ** 2 * (s + 3)))
+        b[2:] = [
+            mp.sqrt(4 * k * (k + A) * (k + B) * (k + s)
+                    / ((2 * k + s) ** 2 * (2 * k + s + 1) * (2 * k + s - 1)))
+            for k in range(2, n + 1)
+        ]
+    return a, b
+
+
+def linearize_mp(kind, m: int, n: int, dps: int = 50) -> np.ndarray:
+    """Q_m Q_n = sum_k c_k Q_k computed at `dps` digits, rounded to float.
+
+    Runs P_{j+1} = ((x - a_j) P_j - b_j P_{j-1}) / b_{j+1} on the coefficient
+    vectors of P_hi P_j for the unsigned polynomials P_k, with the recurrence
+    coefficients taken from their closed forms, then applies the classical
+    Laguerre signs Q_k = (-1)^k P_k at the end.
+    """
+    lo, hi = sorted((m, n))
+    size = m + n + 1
+    with mp.workdps(dps):
+        a, b = _recurrence_mp(kind, size)
+        prev = [mp.mpf(0)] * size
+        cur = [mp.mpf(0)] * size
+        cur[hi] = mp.mpf(1)
+        for j in range(lo):
+            nxt = [
+                (a[k] - a[j]) * cur[k] - b[j] * prev[k]
+                + (b[k] * cur[k - 1] if k else 0)
+                + (b[k + 1] * cur[k + 1] if k + 1 < size else 0)
+                for k in range(size)
+            ]
+            prev, cur = cur, [v / b[j + 1] for v in nxt]
+        out = np.array([float(v) for v in cur])
+    if kind.family == "laguerre":
+        out *= (-1.0) ** (m + n + np.arange(size))
+    return out
+
+
+def gamma_by_products(f, g):
+    """Reference carre du champ from three full products: (L(FG) - F LG - G LF) / 2."""
+    t = apply_L(multiply(f, g)) - multiply(f, apply_L(g)) - multiply(g, apply_L(f))
+    return t.scale(0.5)
 
 
 def gaussian_moment(k: int) -> int:

@@ -11,9 +11,9 @@ from chaoskit import (
     hermite,
     jacobi,
     laguerre,
-    linearize,
     make_basis,
 )
+from chaoskit.basis import HARD_DEGREE_CAP
 
 import oracles
 from oracles import X
@@ -157,9 +157,9 @@ def test_quadrature_depth_errors():
 
 def test_hermite_linearization_examples():
     basis = make_basis(hermite(), 4)
-    c = linearize(basis, 1, 1)
+    c = basis.linearize(1, 1)
     assert np.allclose(c, [1.0, 0.0, np.sqrt(2)], atol=1e-12)
-    c = linearize(basis, 1, 2)
+    c = basis.linearize(1, 2)
     assert np.allclose(c, [0.0, np.sqrt(2), 0.0, np.sqrt(3)], atol=1e-12)
 
 
@@ -167,11 +167,11 @@ def test_hermite_linearization_examples():
 def test_linearization_trivial_and_symmetric(kind):
     basis = make_basis(kind, 6)
     for n in range(4):
-        c = linearize(basis, 0, n)
+        c = basis.linearize(0, n)
         expect = np.zeros(n + 1)
         expect[n] = 1.0
         assert np.allclose(c, expect, atol=1e-12)
-    assert np.allclose(linearize(basis, 2, 3), linearize(basis, 3, 2), atol=0)
+    assert np.allclose(basis.linearize(2, 3), basis.linearize(3, 2), atol=0)
 
 
 @pytest.mark.parametrize("kind", [hermite(), laguerre(0.0), jacobi(2.0, 2.0)],
@@ -184,7 +184,7 @@ def test_linearization_matches_symbolic_triple_products(kind):
         for n in range(m, 3):
             if m + n > deg:
                 continue
-            c = linearize(basis, m, n)
+            c = basis.linearize(m, n)
             for k in range(m + n + 1):
                 exact = float(oracles.triple_product(kind, polys, m, n, k))
                 assert abs(c[k] - exact) < 1e-11, (kind.label(), m, n, k)
@@ -194,7 +194,7 @@ def test_linearization_matches_symbolic_triple_products(kind):
 def test_linearization_parseval_and_pointwise(kind):
     basis = make_basis(kind, 8)
     for m, n in [(1, 1), (2, 2), (1, 3), (3, 4)]:
-        c = linearize(basis, m, n)
+        c = basis.linearize(m, n)
         # sum_k c_k^2 = int (Q_m Q_n)^2 dmu, by quadrature
         x, w = gauss_quadrature(basis, m + n + 1)
         q = basis.eval_all(x, deg=m + n)
@@ -209,14 +209,96 @@ def test_linearization_parseval_and_pointwise(kind):
 def test_linearization_overflow_error():
     basis = make_basis(hermite(), 3)
     with pytest.raises(ValueError):
-        linearize(basis, 2, 2)
+        basis.linearize(2, 2)
 
 
 def test_linearization_cache_returns_consistent_values():
     basis = make_basis(hermite(), 6)
-    first = linearize(basis, 2, 3)
-    second = linearize(basis, 3, 2)
+    first = basis.linearize(2, 3)
+    second = basis.linearize(3, 2)
     assert first is second or np.array_equal(first, second)
+
+
+# -- linearization accuracy contract over the whole degree range --------------
+#
+# Normwise relative error <= 1e-12 for every product degree make_basis accepts:
+# 512 for Hermite and Jacobi, about 360 for Laguerre (beyond that the
+# construction check overflows and refuses the basis).
+
+LIN_RTOL = 1e-12
+MP_KINDS = [laguerre(0.0), laguerre(0.5), jacobi(2.0, 3.0), jacobi(0.5, 0.5)]
+
+
+def _relerr(c, ref):
+    """||c - ref|| / ||ref||, scaled first (Laguerre coefficients reach 1e169)."""
+    s = np.abs(ref).max()
+    return np.linalg.norm((c - ref) / s) / np.linalg.norm(ref / s)
+
+
+def _largest_accepted_degree(kind):
+    if _accepts(kind, HARD_DEGREE_CAP):
+        return HARD_DEGREE_CAP
+    good, bad = 64, HARD_DEGREE_CAP
+    while bad - good > 1:
+        mid = (good + bad) // 2
+        good, bad = (mid, bad) if _accepts(kind, mid) else (good, mid)
+    return good
+
+
+def _accepts(kind, degree):
+    try:
+        make_basis(kind, degree)
+    except RuntimeError:
+        return False
+    return True
+
+
+def test_hermite_linearization_closed_form_to_degree_512():
+    basis = make_basis(hermite(), HARD_DEGREE_CAP)
+    for m, n in [(0, 512), (1, 511), (2, 300), (7, 505), (17, 33), (30, 482), (60, 60),
+                 (64, 448), (120, 120), (128, 384), (200, 312), (256, 256)]:
+        ref = oracles.hermite_linearization(m, n)
+        assert _relerr(basis.linearize(m, n), ref) <= LIN_RTOL, (m, n)
+
+
+@pytest.mark.parametrize("kind", MP_KINDS, ids=lambda k: k.label())
+def test_linearization_matches_mpmath_to_degree_limit(kind):
+    top = _largest_accepted_degree(kind)
+    assert top >= (512 if kind.family == "jacobi" else 300)
+    basis = make_basis(kind, top)
+    # anchor the 50-digit oracle itself on the exact triple products
+    polys = oracles.gram_schmidt(kind, 5)
+    exact = [float(oracles.triple_product(kind, polys, 2, 3, k)) for k in range(6)]
+    assert np.allclose(oracles.linearize_mp(kind, 2, 3), exact, rtol=0, atol=1e-13)
+    for m, n in [(3, top - 3), (40, top - 40), (top // 2, top - top // 2)]:
+        ref = oracles.linearize_mp(kind, m, n)
+        assert _relerr(basis.linearize(m, n), ref) <= LIN_RTOL, (m, n)
+
+
+@pytest.mark.parametrize("kind", [hermite(), jacobi(2.0, 2.0), jacobi(0.5, 0.5)],
+                         ids=lambda k: k.label())
+def test_linearization_parity_zeros_are_exact(kind):
+    """Symmetric measures: Q_m Q_n has no component of the opposite parity."""
+    basis = make_basis(kind, HARD_DEGREE_CAP)
+    for m, n in [(1, 2), (3, 3), (7, 505), (100, 101), (256, 256)]:
+        c = basis.linearize(m, n)
+        odd = np.arange(m + n + 1) % 2 != (m + n) % 2
+        assert np.all(c[odd] == 0.0), (m, n)
+        assert c[m + n] != 0.0
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS + [jacobi(2.0, 3.0)], ids=lambda k: k.label())
+def test_linearization_parseval_at_high_degree(kind):
+    """sum_k c(m,n)_k^2 = int Q_m^2 Q_n^2 dmu = sum_k c(m,m)_k c(n,n)_k."""
+    top = _largest_accepted_degree(kind)
+    basis = make_basis(kind, top)
+    for m, n in [(top // 2, top // 4), (top // 2, top // 2 - 1), (top // 3, top // 3)]:
+        c, cm, cn = basis.linearize(m, n), basis.linearize(m, m), basis.linearize(n, n)
+        s = np.abs(c).max()
+        k = min(cm.size, cn.size)
+        lhs = float(np.sum((c / s) ** 2))
+        rhs = float(np.sum((cm[:k] / s) * (cn[:k] / s)))
+        assert abs(lhs - rhs) <= LIN_RTOL * lhs, (m, n, lhs, rhs)
 
 
 # -- construction-time invariant checking -------------------------------------

@@ -60,6 +60,15 @@ def test_exit_code_two_on_config_errors(tmp_path, capsys):
     malformed = fmt_config(tmp_path, n_grid=[1, "x"])
     assert main(["fmt-verify", "--config", malformed]) == 2
     assert "'n_grid'" in capsys.readouterr().err
+    # A bound-check whose t grid would be empty has no row to check.
+    pair = {"type": "pair_mixed", "p1": 2, "p2": 2, "rho": 0.5, "n": 2}
+    for extra, message in (({"t_max": float("nan")}, "finite"),
+                           ({"t_max": 0.1}, "no grid point")):
+        empty = write_config(tmp_path, {"experiment": "bound-check", "vectors": [pair],
+                                        "out": str(tmp_path / "bc"), **extra})
+        assert main(["bound-check", "--config", empty]) == 2
+        assert message in capsys.readouterr().err
+    assert not (tmp_path / "bc").exists()
 
 
 def test_unknown_experiment_rejected_by_argparse(tmp_path):
@@ -240,6 +249,18 @@ def test_parse_config_validation():
         {"experiment": "bound-check", "vectors": [dict(pair, rho=float("nan"))]},
         {"experiment": "bound-check", "vectors": [dict(pair, n=0)]},
         {"experiment": "bound-check", "vectors": ["q1"]},
+        # Non-finite t values, and vectors whose t grid is empty.
+        {"experiment": "bound-check", "vectors": [pair], "t_max": float("nan")},
+        {"experiment": "bound-check", "vectors": [q1], "t_max": float("inf")},
+        {"experiment": "bound-check", "vectors": [q1], "t_axis": [0.5, float("nan")]},
+        {"experiment": "bound-check", "vectors": [q1], "t_axis": [0.5, float("inf")]},
+        {"experiment": "bound-check", "vectors": [q1], "t_axis": []},
+        {"experiment": "bound-check", "vectors": [q1], "t_max": 0.1},
+        {"experiment": "bound-check", "vectors": [q1, pair], "t_axis": [1.0], "t_max": 1.2},
     ):
         with pytest.raises(ConfigError):
             parse_config(obj)
+    # The grid is checked in each vector's own dimension: ||(1,)|| <= 1.2 < ||(1, 1)||.
+    cfg = parse_config({"experiment": "bound-check", "vectors": [q1], "t_axis": [1.0],
+                        "t_max": 1.2})
+    assert cfg.t_axis == (1.0,) and cfg.t_max == 1.2

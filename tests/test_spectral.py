@@ -32,6 +32,9 @@ from chaoskit import (
     project,
     spectrum,
 )
+from chaoskit.experiments import random_span_function
+
+import oracles
 
 H1 = product_space(hermite(), 10, 1)
 H2 = product_space(hermite(), 6, 2)
@@ -159,6 +162,41 @@ def test_gamma_examples():
     rng = np.random.default_rng(5)
     f = random_fn(H1, rng, max_terms=3)
     assert gamma(H1.unit(), f).norm() <= 1e-14 * (1 + f.norm())
+
+
+@pytest.mark.parametrize("kind", [hermite(), laguerre(0.5), jacobi(0.7, 1.9)],
+                         ids=lambda k: k.label())
+def test_gamma_matches_three_product_reference(kind):
+    """Tensorized Gamma equals (L(FG) - F LG - G LF) / 2; jacobi(0.7, 1.9) has
+    non-integer eigenvalues p (p + 1.6)."""
+    rng = np.random.default_rng(11)
+    small, space = product_space(kind, 5, 3), product_space(kind, 10, 3)
+    for _ in range(30):
+        f, g = (SpectralFn(space, random_span_function(small, rng).coeffs) for _ in range(2))
+        ref = oracles.gamma_by_products(f, g)
+        assert (gamma(f, g) - ref).norm() <= 1e-12 * ref.norm()
+
+
+def test_gamma_disjoint_coordinates_is_exactly_zero():
+    space = product_space(jacobi(0.7, 1.9), 8, 3)
+    f = SpectralFn(space, {(0, 0, 0): 0.3, (1, 0, 0): 1.0, (4, 0, 0): -0.7})
+    g = SpectralFn(space, {(0, 0, 0): 2.0, (0, 3, 0): 0.5, (0, 2, 5): 1.1})
+    assert gamma(f, g).coeffs == {}
+    assert gamma(space.unit(), f).coeffs == {}
+
+
+@pytest.mark.parametrize("p", [20, 60, 120, 256])
+def test_hermite_gamma_of_eigenfunction_is_derivative_squared(p):
+    """Gamma(Q_p, Q_p) = Q_p'^2 = p Q_{p-1}^2 (regression: the quadrature-based
+    product lost all accuracy by p = 60)."""
+    space = product_space(hermite(), 2 * p, 1)
+    got = gamma(space.basis_fn((p,)), space.basis_fn((p,)))
+    c = np.zeros(2 * p + 1)
+    for (k,), v in got.items_sorted():
+        c[k] = v
+    ref = p * oracles.hermite_linearization(p - 1, p - 1)
+    assert np.linalg.norm(c[: ref.size] - ref) <= 1e-12 * np.linalg.norm(ref)
+    assert not c[ref.size:].any()
 
 
 def _low_degree_fn(space, rng, cap=3):
