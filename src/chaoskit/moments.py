@@ -29,6 +29,7 @@ from .spectral import (
     EPS_GROUP,
     SpectralFn,
     _check_same_space,
+    _joint_membership,
     _membership,
     apply_Linv,
     eigenfunction_eigenvalue,
@@ -231,6 +232,7 @@ class JointReport:
     r_matrix: np.ndarray
     var_gamma_m: np.ndarray
     prop31: float
+    chaotic_vector: bool  # is_chaotic_vector(fs).ok; not serialized
 
     @property
     def dim(self) -> int:
@@ -282,7 +284,9 @@ def joint_report(fs: list[SpectralFn] | tuple[SpectralFn, ...],
                  tol: float = CHAOS_TOL) -> JointReport:
     """Pairwise diagnostics of a centered eigenfunction vector.  Each F_i^2 and
     each Gamma(F_i, -L^-1 F_j) is built once; every entry equals fmt_report,
-    mixed22, remainder_r, var_gamma or prop31_bound of the same inputs bit for bit."""
+    mixed22, remainder_r, var_gamma or prop31_bound of the same inputs bit for bit,
+    and chaotic_vector is is_chaotic_vector(fs, tol).ok: the squares give the
+    diagonal verdicts, the d(d-1)/2 cross products F_i F_j the others."""
     fs = tuple(fs)
     c = _target(fs, c)
     d = len(fs)
@@ -302,6 +306,8 @@ def joint_report(fs: list[SpectralFn] | tuple[SpectralFn, ...],
             rmat[i, j] = _remainder(c, i, j, lams[i], lams[j],
                                     cov[i, i], cov[j, j], cov[i, j], m22[i, j])
             vg[i, j] = _variance(gammas[i][j])
+    cross = (_joint_membership(multiply(fs[i], fs[j]), lams[i], lams[j], tol).ok
+             for i in range(d) for j in range(i + 1, d))
     return JointReport(
         components=comps,
         eigenvalues=lams,
@@ -311,4 +317,5 @@ def joint_report(fs: list[SpectralFn] | tuple[SpectralFn, ...],
         r_matrix=rmat,
         var_gamma_m=vg,
         prop31=_prop31(gammas, c),
+        chaotic_vector=all(comp.chaotic for comp in comps) and all(cross),
     )

@@ -6,6 +6,14 @@ bit-reproducible for a fixed seed no matter how chunks are scheduled, and the
 reduction into the sample matrix is by position.  Coordinates follow their
 basis measure: N(0,1) for Hermite, Gamma(alpha+1, 1) for Laguerre, and the
 [-1,1]-mapped Beta(b, a) for Jacobi(a, b).
+
+Cost model of the characteristic-function check: `cf_gaps` evaluates each
+component once per batch (recurrence tables from `Basis.eval_all`, then one
+pass over the support), then spends, per frequency t, one weighted sum of the
+component values and one complex `exp` over the batch.  That per-t phase step
+is the floor and the largest share of a bound check.  It has no bit-identical
+shortcut: the means of `cos` and `sin` sum in another order than the complex
+mean of `exp(1j*s)`, and can differ from it in the last bit.
 """
 
 from __future__ import annotations
@@ -104,20 +112,34 @@ def cf_gap(fs, c: GaussianTarget | np.ndarray, t, batch: SampleBatch,
            ) -> tuple[float, float]:
     """|empirical CF of (F_1..F_d) at t - Gaussian CF exp(-t'Ct/2)| and its
     standard error (at most 1/sqrt(n))."""
+    return cf_gaps(fs, c, [t], batch)[0]
+
+
+def cf_gaps(fs, c: GaussianTarget | np.ndarray, ts, batch: SampleBatch,
+            ) -> list[tuple[float, float]]:
+    """`cf_gap` at every t of ts on one batch.  Each component with a nonzero
+    entry in some t is evaluated once; the gap at t is bit for bit the one
+    `cf_gap` gives alone."""
     fs = tuple(fs)
     c = c if isinstance(c, GaussianTarget) else GaussianTarget(np.asarray(c))
-    t = np.asarray(t, dtype=float)
-    if t.shape != (len(fs),):
-        raise ValueError(f"t has shape {t.shape}, expected ({len(fs)},)")
+    ts = [np.asarray(t, dtype=float) for t in ts]
+    for t in ts:
+        if t.shape != (len(fs),):
+            raise ValueError(f"t has shape {t.shape}, expected ({len(fs)},)")
     if c.dim != len(fs):
         raise ValueError("covariance dimension does not match component count")
-    s = np.zeros(batch.n_samples)
-    for ti, f in zip(t, fs):
-        if ti != 0.0:
-            s += ti * evaluate(f, batch)
-    z = np.exp(1j * s)
-    emp = z.mean()
-    exact = np.exp(-0.5 * float(t @ c.cov @ t))
-    gap = abs(emp - exact)
-    stderr = float(np.sqrt((z.real.var() + z.imag.var()) / batch.n_samples))
-    return float(gap), stderr
+    values = [evaluate(f, batch) if any(t[i] != 0.0 for t in ts) else None
+              for i, f in enumerate(fs)]
+    out = []
+    for t in ts:
+        s = np.zeros(batch.n_samples)
+        for ti, v in zip(t, values):
+            if ti != 0.0:
+                s += ti * v
+        z = np.exp(1j * s)
+        emp = z.mean()
+        exact = np.exp(-0.5 * float(t @ c.cov @ t))
+        gap = abs(emp - exact)
+        stderr = float(np.sqrt((z.real.var() + z.imag.var()) / batch.n_samples))
+        out.append((float(gap), stderr))
+    return out

@@ -13,6 +13,7 @@ checks exact coefficient algebra.  Products and Gamma = sum_i Gamma_i
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -186,12 +187,16 @@ def _check_same_space(f: SpectralFn, g: SpectralFn) -> None:
 
 
 def inner(f: SpectralFn, g: SpectralFn) -> float:
-    """L2 inner product int F G dmu = sum_alpha F_alpha G_alpha."""
+    """L2 inner product int F G dmu = sum_alpha F_alpha G_alpha; raises when
+    it overflows."""
     _check_same_space(f, g)
     small, large = (f, g) if len(f.coeffs) <= len(g.coeffs) else (g, f)
-    return float(
+    out = float(
         sum(v * large.coeffs[a] for a, v in small.items_sorted() if a in large.coeffs)
     )
+    if not math.isfinite(out):
+        raise ValueError(f"inner product is not finite ({out})")
+    return out
 
 
 def multiply(f: SpectralFn, g: SpectralFn) -> SpectralFn:
@@ -342,6 +347,8 @@ class ChaosCheck:
 def _membership(prod: SpectralFn, limit: float, tol: float,
                 eigenvalue: float) -> ChaosCheck:
     nrm = prod.norm()
+    if not math.isfinite(nrm):
+        raise ValueError(f"product norm is not finite ({nrm}); chaos masses are undefined")
     if nrm == 0.0:
         return ChaosCheck(True, eigenvalue, limit, ())
     offenders = []
@@ -359,6 +366,12 @@ def _membership(prod: SpectralFn, limit: float, tol: float,
     return ChaosCheck(ok, eigenvalue, limit, tuple(offenders))
 
 
+def _joint_membership(prod: SpectralFn, lam_f: float, lam_g: float,
+                      tol: float) -> ChaosCheck:
+    """Chaos check of the product FG of eigenfunctions at lam_f and lam_g."""
+    return _membership(prod, lam_f + lam_g, tol, lam_f + lam_g)
+
+
 def is_chaotic(f: SpectralFn, tol: float = CHAOS_TOL) -> ChaosCheck:
     """Does F^2 expand only over eigenvalues <= 2 Lambda_F?  (chaos eigenfunction)"""
     lam = eigenfunction_eigenvalue(f, tol)
@@ -373,7 +386,7 @@ def is_jointly_chaotic(f: SpectralFn, g: SpectralFn,
     """
     lam_f = eigenfunction_eigenvalue(f, tol)
     lam_g = eigenfunction_eigenvalue(g, tol)
-    return _membership(multiply(f, g), lam_f + lam_g, tol, lam_f + lam_g)
+    return _joint_membership(multiply(f, g), lam_f, lam_g, tol)
 
 
 @dataclass(frozen=True)

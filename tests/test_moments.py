@@ -18,6 +18,7 @@ from chaoskit import (
     gaussian_mixed,
     hermite,
     inner,
+    is_chaotic_vector,
     jacobi,
     joint_report,
     laguerre,
@@ -291,8 +292,8 @@ def test_joint_report_dict_and_csv_schema():
                          ids=lambda k: k.label())
 @pytest.mark.parametrize("p1, p2, rho", [(2, 2, 0.5), (2, 2, -0.5), (1, 2, 0.5)])
 def test_joint_report_matches_pair_api_bitwise(kind, p1, p2, rho):
-    """joint_report shares squares and Gammas; every entry still equals the
-    per-pair function of the same inputs exactly."""
+    """joint_report shares squares and Gammas; every entry, and the vector's
+    chaos verdict, still equals the per-pair function of the same inputs exactly."""
     fs = pair_mixed(p1, p2, rho, 3, kind=kind)
     c = GaussianTarget(np.array([[inner(f, g) for g in fs] for f in fs]))
     rep = joint_report(fs, c)
@@ -304,6 +305,7 @@ def test_joint_report_matches_pair_api_bitwise(kind, p1, p2, rho):
             assert rep.r_matrix[i, j] == remainder_r(fi, fj, c, i, j)
             assert rep.var_gamma_m[i, j] == var_gamma(fi, -apply_Linv(fj))
     assert rep.prop31 == prop31_bound(fs, c)
+    assert rep.chaotic_vector == is_chaotic_vector(fs).ok
 
 
 def _random_level_pair(space, li, lj, rng):

@@ -3,16 +3,20 @@ empirical characteristic functions."""
 
 from __future__ import annotations
 
+import json
 import math
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from chaoskit import (
     cf_gap,
+    cf_gaps,
     evaluate,
+    experiments,
     hermite,
     inner,
     jacobi,
@@ -20,10 +24,15 @@ from chaoskit import (
     laguerre,
     mixed22,
     moment4,
+    montecarlo,
+    pair_mixed,
     product_space,
     sample,
+    spread,
 )
 from chaoskit.montecarlo import CHUNK
+
+BOUND_CHECK = Path(__file__).parent.parent / "configs" / "bound_check.json"
 
 
 def test_fixed_seed_reproduces_batches():
@@ -129,6 +138,42 @@ def test_cf_gap_validation():
         cf_gap([f], np.eye(1), [1.0, 2.0], batch)
     with pytest.raises(ValueError):
         cf_gap([f], np.eye(2), [1.0], batch)
+    fs = pair_mixed(2, 2, 0.5, 2)
+    batch = sample(fs[0].space, 100, seed=9)
+    for ts in ([[1.0, 0.0], [1.0]], [[1.0, 0.0, 0.0], [1.0, 2.0]]):
+        with pytest.raises(ValueError, match="t has shape"):
+            cf_gaps(fs, np.eye(2), ts, batch)
+    with pytest.raises(ValueError, match="covariance dimension"):
+        cf_gaps(fs, np.eye(1), [[1.0, 0.0], [0.0, 1.0]], batch)
+
+
+@pytest.mark.parametrize("fs, ts", [
+    ((spread(hermite(), 2, 1),), [[0.0], [0.5], [1.0], [2.5]]),
+    ((spread(laguerre(0.5), 2, 1),), [[0.25], [0.0], [2.0]]),
+    ((spread(jacobi(2.0, 3.0), 2, 1),), [[1.0], [-0.5], [0.0]]),
+    (pair_mixed(2, 2, 0.5, 4), [[0.0, 1.0], [0.5, 0.0], [1.0, 2.0], [0.0, 0.0],
+                                [-0.25, 0.75]]),
+], ids=["hermite", "laguerre", "jacobi", "pair"])
+def test_cf_gaps_equals_cf_gap_at_each_t(fs, ts):
+    c = np.array([[inner(f, g) for g in fs] for f in fs])
+    batch = sample(fs[0].space, 5000, seed=4)
+    assert cf_gaps(fs, c, ts, batch) == [cf_gap(fs, c, t, batch) for t in ts]
+
+
+def test_bound_check_evaluates_each_component_once(tmp_path, monkeypatch):
+    obj = {**json.loads(BOUND_CHECK.read_text()), "n_samples": 500}
+    cfg = experiments.parse_config(obj, out_override=str(tmp_path))
+    calls = []
+    plain = montecarlo.evaluate
+
+    def counting(f, batch):
+        calls.append(f)
+        return plain(f, batch)
+
+    monkeypatch.setattr(montecarlo, "evaluate", counting)
+    experiments.run(cfg)
+    components = sum(len(experiments.build_test_vector(v)[0]) for v in cfg.vectors)
+    assert len(calls) == components == 10
 
 
 def test_import_leaves_scipy_stats_unloaded():

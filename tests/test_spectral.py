@@ -26,6 +26,7 @@ from chaoskit import (
     jacobi,
     laguerre,
     make_basis,
+    moment4,
     montecarlo,
     multiply,
     product_space,
@@ -387,6 +388,18 @@ def test_membership_vacuous_on_vanishing_product():
 
     chk = _membership(SpectralFn(H2, {}), limit=2.0, tol=1e-8, eigenvalue=2.0)
     assert chk.ok and chk.offenders == ()
+
+
+def test_overflowing_product_raises_instead_of_passing():
+    """Q_180^2 on Laguerre(0) has coefficients up to 1.15e169, so its norm is
+    inf; dividing offender masses by it would make any product pass."""
+    space = product_space(laguerre(0.0), 361, 1)
+    f = q(space, 180)
+    assert not math.isfinite(multiply(f, f).norm())
+    with pytest.raises(ValueError, match="not finite"):
+        is_chaotic(f)
+    with pytest.raises(ValueError, match="not finite"):
+        moment4(f)
 
 
 def test_chaotic_vector_examples():
