@@ -250,20 +250,26 @@ def _run_chaos_check(cfg: ExperimentConfig):
     for n in cfg.n_grid:
         built = spec.build(n)
         fs = (built,) if isinstance(built, SpectralFn) else tuple(built)
-        ok_all = True
-        for idx, f in enumerate(fs):
-            chk = spectral.is_chaotic(f, tol)
+        lams = [spectral.eigenfunction_eigenvalue(f, tol) for f in fs]
+        # is_chaotic per component; its checks of F_i^2 are also the vector's
+        # i = j pairs, which differ only in the eigenvalue they record
+        checks = [spectral._membership(spectral.multiply(f, f), 2.0 * lam, tol, lam)
+                  for f, lam in zip(fs, lams)]
+        for idx, chk in enumerate(checks):
             rows.append([
                 n, f"F{idx + 1}" if len(fs) > 1 else "F", chk.eigenvalue,
                 chk.ok, len(chk.offenders),
                 max((m for _, m in chk.offenders), default=0.0),
             ])
-            ok_all = ok_all and chk.ok
+        ok_all = all(chk.ok for chk in checks)
         if len(fs) > 1:
-            vec = spectral.is_chaotic_vector(fs, tol)
-            masses = [m for _, _, chk in vec.pairs for _, m in chk.offenders]
-            rows.append([n, "vector", math.nan, vec.ok, len(masses), max(masses, default=0.0)])
-            ok_all = ok_all and vec.ok
+            cross = [spectral._joint_membership(spectral.multiply(fs[i], fs[j]),
+                                                lams[i], lams[j], tol)
+                     for i in range(len(fs)) for j in range(i + 1, len(fs))]
+            vec_ok = ok_all and all(chk.ok for chk in cross)
+            masses = [m for chk in checks + cross for _, m in chk.offenders]
+            rows.append([n, "vector", math.nan, vec_ok, len(masses), max(masses, default=0.0)])
+            ok_all = vec_ok
         if not ok_all:
             failures.append(f"chaos-check: not chaotic at n={n}")
     summary = {"tol": tol, "all_chaotic": not failures}

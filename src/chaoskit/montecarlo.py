@@ -5,7 +5,8 @@ disjoint counter range derived from the master seed, so batches are
 bit-reproducible for a fixed seed no matter how chunks are scheduled, and the
 reduction into the sample matrix is by position.  Coordinates follow their
 basis measure: N(0,1) for Hermite, Gamma(alpha+1, 1) for Laguerre, and the
-[-1,1]-mapped Beta(b, a) for Jacobi(a, b).
+[-1,1]-mapped Beta(b, a) for Jacobi(a, b).  The matrix is column-major, so
+each coordinate's column is contiguous to write and to read.
 
 Cost model of the characteristic-function check: `cf_gaps` evaluates each
 component once per batch (recurrence tables from `Basis.eval_all`, then one
@@ -14,10 +15,20 @@ component values and one complex `exp` over the batch.  That per-t phase step
 is the floor and the largest share of a bound check.  It has no bit-identical
 shortcut: the means of `cos` and `sin` sum in another order than the complex
 mean of `exp(1j*s)`, and can differ from it in the last bit.
+
+Parallelism: the per-t phase steps, the sample columns and the per-coordinate
+evaluation tables are independent numpy work that releases the interpreter
+lock, so `_map` runs them on one module-level thread pool, built on first use
+with one worker per usable core (the process's CPU affinity), at most
+MAX_WORKERS.  With one usable core it is a plain map.  Each task sums in the
+same order as a serial loop and results are placed by position, so every
+value, and every report byte, is the same whatever the worker count.
 """
 
 from __future__ import annotations
 
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,6 +37,38 @@ from .moments import GaussianTarget
 from .spectral import ProductSpace, SpectralFn
 
 CHUNK = 8192
+# Each worker holds a few batch-sized buffers at once; the cap bounds peak
+# memory on many-core hosts.
+MAX_WORKERS = 4
+
+
+def _usable_cores() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity masks on this platform
+        return os.cpu_count() or 1
+
+
+_WORKERS = min(MAX_WORKERS, _usable_cores())
+_pool = None
+_pool_lock = threading.Lock()
+
+
+def _map(fn, items) -> list:
+    """[fn(x) for x in items] in input order, on the module's thread pool when
+    more than one core is usable and there is more than one item.  Tasks must
+    be GIL-releasing numpy work and must not call `_map` themselves."""
+    global _pool
+    items = list(items)
+    if _WORKERS < 2 or len(items) < 2:
+        return list(map(fn, items))
+    with _pool_lock:
+        if _pool is None:
+            # deferred: `import chaoskit` does not load concurrent.futures
+            from concurrent.futures import ThreadPoolExecutor
+
+            _pool = ThreadPoolExecutor(_WORKERS, thread_name_prefix="chaoskit")
+    return list(_pool.map(fn, items))
 
 
 @dataclass(frozen=True, eq=False)
@@ -56,12 +99,15 @@ def sample(space: ProductSpace, n: int, seed: int) -> SampleBatch:
     """Deterministic i.i.d. batch: row k, column j ~ mu_j, fixed by (seed, n)."""
     if n < 1:
         raise ValueError("need at least one sample")
-    points = np.empty((n, space.dim))
-    for j, basis in enumerate(space.coords):
+    points = np.empty((n, space.dim), order="F")
+
+    def fill(j: int) -> None:
+        kind, column = space.coords[j].kind, points[:, j]
         for c, start in enumerate(range(0, n, CHUNK)):
             stop = min(start + CHUNK, n)
-            gen = _stream(seed, c, j)
-            points[start:stop, j] = _draw(basis.kind, gen, stop - start)
+            column[start:stop] = _draw(kind, _stream(seed, c, j), stop - start)
+
+    _map(fill, range(space.dim))
     points.setflags(write=False)
     return SampleBatch(space, n, seed, points)
 
@@ -70,16 +116,19 @@ def evaluate(f: SpectralFn, batch: SampleBatch) -> np.ndarray:
     """Pointwise values of F at the batch rows, via recurrence evaluation."""
     if f.space != batch.space:
         raise ValueError("function and batch live on different spaces")
-    d = f.space.dim
-    need = [0] * d
+    rows: list[set[int]] = [set() for _ in range(f.space.dim)]
     for alpha in f.support():
         for j, deg in enumerate(alpha):
-            need[j] = max(need[j], deg)
-    tables = [
-        f.space.coords[j].eval_all(batch.points[:, j], deg=need[j])
-        if need[j] > 0 else None
-        for j in range(d)
-    ]
+            if deg:
+                rows[j].add(deg)
+
+    def table(j: int) -> dict[int, np.ndarray]:
+        # only the rows the support uses outlive the recurrence block
+        full = f.space.coords[j].eval_all(batch.points[:, j], deg=max(rows[j]))
+        return {deg: full[deg].copy() for deg in rows[j]}
+
+    used = [j for j in range(f.space.dim) if rows[j]]
+    tables = dict(zip(used, _map(table, used)))
     out = np.zeros(batch.n_samples)
     for alpha, v in f.items_sorted():
         term = np.full(batch.n_samples, v)
@@ -130,8 +179,8 @@ def cf_gaps(fs, c: GaussianTarget | np.ndarray, ts, batch: SampleBatch,
         raise ValueError("covariance dimension does not match component count")
     values = [evaluate(f, batch) if any(t[i] != 0.0 for t in ts) else None
               for i, f in enumerate(fs)]
-    out = []
-    for t in ts:
+
+    def phase(t: np.ndarray) -> tuple[float, float]:
         s = np.zeros(batch.n_samples)
         for ti, v in zip(t, values):
             if ti != 0.0:
@@ -141,5 +190,6 @@ def cf_gaps(fs, c: GaussianTarget | np.ndarray, ts, batch: SampleBatch,
         exact = np.exp(-0.5 * float(t @ c.cov @ t))
         gap = abs(emp - exact)
         stderr = float(np.sqrt((z.real.var() + z.imag.var()) / batch.n_samples))
-        out.append((float(gap), stderr))
-    return out
+        return float(gap), stderr
+
+    return _map(phase, ts)

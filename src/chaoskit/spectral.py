@@ -98,7 +98,12 @@ class SpectralFn:
         return float(sum(v * v for _, v in self.items_sorted()))
 
     def norm(self) -> float:
-        return float(np.sqrt(self.norm2()))
+        """L2 norm; finite whenever it is representable, even where the sum of
+        squares overflows (as for some Laguerre products near the degree limit)."""
+        out = float(np.sqrt(self.norm2()))
+        if math.isfinite(out):
+            return out
+        return math.hypot(*self.coeffs.values())  # rescales by the max |coefficient|
 
     def integral(self) -> float:
         """Mean of F under mu (the coefficient of the constant Q_0 x ... x Q_0)."""

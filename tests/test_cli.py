@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+from chaoskit import montecarlo
 from chaoskit.cli import main
 from chaoskit.experiments import ConfigError, load_config, parse_config, run
 
@@ -109,14 +110,35 @@ def test_csv_byte_identical_across_runs(tmp_path):
 
 
 def test_results_independent_of_thread_count(tmp_path, monkeypatch):
-    cfg = fmt_config(tmp_path, n_grid=[1, 2, 3, 4, 5, 6])
-    outputs = []
-    for threads, sub in (("1", "t1"), ("6", "t6")):
-        monkeypatch.setenv("CHAOSKIT_THREADS", threads)
-        assert main(["fmt-verify", "--config", cfg,
-                     "--out", str(tmp_path / sub)]) == 0
-        outputs.append((tmp_path / sub / "report.csv").read_bytes())
-    assert outputs[0] == outputs[1]
+    """Reports are the same bytes with one Monte Carlo worker and with two."""
+    hermite = {"kind": "hermite", "params": []}
+    configs = {
+        "fmt-verify": fmt_config(tmp_path, n_grid=[1, 2, 3, 4, 5, 6]),
+        "bound-check": write_config(tmp_path, {
+            "experiment": "bound-check",
+            "vectors": [
+                {"name": "q2", "type": "eigenfunction", "kind": hermite,
+                 "degree": 2, "scale": 0.5},
+                {"name": "pair", "type": "pair_mixed", "p1": 2, "p2": 2,
+                 "rho": 0.5, "n": 4},
+            ],
+            "t_axis": [0.5, 1.0],
+            "t_max": 2.0,
+            "n_samples": 2 * montecarlo.CHUNK + 17,
+            "seed": 3,
+        }, name="bound.json"),
+    }
+    outputs = {}
+    for workers in (1, 2):
+        monkeypatch.setattr(montecarlo, "_WORKERS", workers)
+        for experiment, cfg in configs.items():
+            out = tmp_path / experiment
+            assert main([experiment, "--config", cfg, "--out", str(out)]) == 0
+            outputs.setdefault(experiment, []).append(
+                ((out / "report.csv").read_bytes(), (out / "report.json").read_bytes()))
+    assert montecarlo._pool is not None
+    for experiment, (one, two) in outputs.items():
+        assert one == two, experiment
 
 
 def test_joint_verify_csv_schema(tmp_path):
@@ -179,6 +201,33 @@ def test_chaos_check_fails_for_jacobi(tmp_path, capsys):
     })
     assert main(["chaos-check", "--config", cfg]) == 1
     assert "not chaotic" in capsys.readouterr().err
+
+
+def test_chaos_check_builds_three_products_per_pair(tmp_path, monkeypatch):
+    """F1^2, F2^2 and F1 F2 per grid point: the squares serve the component rows
+    and the vector's i = j pairs alike."""
+    from chaoskit import spectral
+
+    calls = []
+    plain = spectral.multiply
+
+    def counting(f, g):
+        calls.append((f, g))
+        return plain(f, g)
+
+    monkeypatch.setattr(spectral, "multiply", counting)
+    cfg = write_config(tmp_path, {
+        "experiment": "chaos-check",
+        "sequence": {"family": "pair_mixed", "kind": {"kind": "hermite", "params": []},
+                     "p1": 2, "p2": 2, "rho": 0.5},
+        "n_grid": [2, 4],
+        "out": str(tmp_path / "cc"),
+    })
+    assert main(["chaos-check", "--config", cfg]) == 0
+    assert len(calls) == 3 * 2
+    rows = list(csv.DictReader((tmp_path / "cc" / "report.csv").read_text().splitlines()))
+    assert [r["component"] for r in rows] == ["F1", "F2", "vector"] * 2
+    assert all(r["chaotic"] == "true" for r in rows)
 
 
 def test_bound_check_small(tmp_path):

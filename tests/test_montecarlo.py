@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from chaoskit import (
+    ProductSpace,
     cf_gap,
     cf_gaps,
     evaluate,
@@ -22,6 +23,7 @@ from chaoskit import (
     jacobi,
     ks_pvalues,
     laguerre,
+    make_basis,
     mixed22,
     moment4,
     montecarlo,
@@ -42,6 +44,30 @@ def test_fixed_seed_reproduces_batches():
     assert np.array_equal(b1.points, b2.points)
     b3 = sample(space, 2 * CHUNK + 17, seed=124)
     assert not np.array_equal(b1.points, b3.points)
+
+
+def test_sample_columns_match_serial_reference(monkeypatch):
+    """The column-major batch filled on the pool holds, bit for bit, the draws
+    of each (chunk, coordinate) stream placed by position."""
+    space = ProductSpace(tuple(make_basis(kind, 4) for kind in (
+        hermite(), laguerre(0.5), jacobi(2.0, 3.0), hermite(), laguerre(0.0))))
+    n = 2 * CHUNK + 17
+    ref = np.empty((n, space.dim))
+    for j, basis in enumerate(space.coords):
+        for c, start in enumerate(range(0, n, CHUNK)):
+            stop = min(start + CHUNK, n)
+            ref[start:stop, j] = montecarlo._draw(
+                basis.kind, montecarlo._stream(5, c, j), stop - start)
+    monkeypatch.setattr(montecarlo, "_WORKERS", 2)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        points = sample(space, n, seed=5).points
+    finally:
+        sys.setswitchinterval(interval)
+    assert points.flags.f_contiguous and points.shape == (n, space.dim)
+    assert np.array_equal(points, ref)
+    assert points.tobytes(order="C") == ref.tobytes()
 
 
 def test_sample_mean_envelopes():
@@ -104,6 +130,37 @@ def test_empirical_moments_match_exact_within_4_stderr():
     m8 = mixed22(f2, f2)
     se_m4 = math.sqrt((m8 - m4 * m4) / n)
     assert abs((vals**4).mean() - m4) <= 4.0 * se_m4
+
+
+def _evaluate_full_tables(f, batch):
+    """evaluate before row pruning: full (deg+1, n) tables, serial."""
+    need = [max(alpha[j] for alpha in f.support()) for j in range(f.space.dim)]
+    tables = [b.eval_all(batch.points[:, j], deg=need[j]) for j, b in enumerate(f.space.coords)]
+    out = np.zeros(batch.n_samples)
+    for alpha, v in f.items_sorted():
+        term = np.full(batch.n_samples, v)
+        for j, deg in enumerate(alpha):
+            if deg:
+                term = term * tables[j][deg]
+        out += term
+    return out
+
+
+@pytest.mark.parametrize("f", [
+    spread(hermite(), 3, 4),
+    spread(laguerre(0.5), 2, 3),
+    spread(jacobi(2.0, 3.0), 2, 3),
+    experiments.random_span_function(
+        ProductSpace((make_basis(hermite(), 5), make_basis(laguerre(0.5), 3),
+                      make_basis(jacobi(2.0, 3.0), 4))),
+        np.random.default_rng(2), max_terms=8),
+], ids=["hermite", "laguerre", "jacobi", "mixed-span"])
+def test_evaluate_matches_full_table_reference(f, monkeypatch):
+    batch = sample(f.space, 3000, seed=6)
+    ref = _evaluate_full_tables(f, batch)
+    for workers in (1, 2):
+        monkeypatch.setattr(montecarlo, "_WORKERS", workers)
+        assert evaluate(f, batch).tobytes() == ref.tobytes()
 
 
 def test_evaluate_space_mismatch():
@@ -176,10 +233,18 @@ def test_bound_check_evaluates_each_component_once(tmp_path, monkeypatch):
     assert len(calls) == components == 10
 
 
-def test_import_leaves_scipy_stats_unloaded():
+def _import_leaves_unloaded(module: str) -> None:
     proc = subprocess.run(
         [sys.executable, "-c",
-         "import sys, chaoskit; assert 'scipy.stats' not in sys.modules"],
+         f"import sys, chaoskit; assert {module!r} not in sys.modules"],
         capture_output=True, text=True,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    _import_leaves_unloaded("scipy.stats")
+
+
+def test_import_leaves_concurrent_futures_unloaded():
+    _import_leaves_unloaded("concurrent.futures")

@@ -391,15 +391,36 @@ def test_membership_vacuous_on_vanishing_product():
 
 
 def test_overflowing_product_raises_instead_of_passing():
-    """Q_180^2 on Laguerre(0) has coefficients up to 1.15e169, so its norm is
-    inf; dividing offender masses by it would make any product pass."""
+    """int F^4 of Q_180 on Laguerre(0) is about 2e339, past the float range;
+    and a product whose norm itself overflows would give every offender mass
+    0 and pass."""
+    from chaoskit.spectral import _membership
+
+    space = product_space(laguerre(0.0), 361, 1)
+    with pytest.raises(ValueError, match="not finite"):
+        moment4(q(space, 180))
+    huge = SpectralFn(H1, {(0,): 1.5e308, (4,): 1.5e308})
+    assert huge.norm() == math.inf
+    with pytest.raises(ValueError, match="not finite"):
+        _membership(huge, limit=2.0, tol=1e-8, eigenvalue=1.0)
+
+
+def test_norm_finite_where_sum_of_squares_overflows():
+    """Q_180^2 on Laguerre(0) has coefficients up to 1.15e169: the sum of
+    squares overflows, the norm does not, and Q_180 is chaotic."""
+    import mpmath as mp
+
     space = product_space(laguerre(0.0), 361, 1)
     f = q(space, 180)
-    assert not math.isfinite(multiply(f, f).norm())
-    with pytest.raises(ValueError, match="not finite"):
-        is_chaotic(f)
-    with pytest.raises(ValueError, match="not finite"):
-        moment4(f)
+    sq = multiply(f, f)
+    assert sq.norm2() == math.inf
+    with mp.workdps(50):
+        exact = mp.sqrt(mp.fsum(mp.mpf(v) ** 2 for v in sq.coeffs.values()))
+        assert abs(sq.norm() / exact - 1) <= 1e-15
+    chk = is_chaotic(f)
+    assert chk.ok and chk.offenders == ()
+    small = q(H1, 3, coeff=0.7) + q(H1, 1, coeff=-0.2)
+    assert small.norm() == float(np.sqrt(0.7 * 0.7 + 0.2 * 0.2))
 
 
 def test_chaotic_vector_examples():
