@@ -15,10 +15,17 @@ reduce to coefficient dot products.  Laguerre polynomials carry the classical
 coefficient.  Products Q_m Q_n are linearized by the three-term recurrence in
 coefficient space; Gauss quadrature serves only the construction check of
 orthonormality and of L Q_p = -lambda_p Q_p, which refuses bases that fail.
+
+`make_basis` builds and checks each (kind, max_degree) once per process and
+hands every later caller the same Basis, so its recurrence and eigenvalue
+arrays are read-only and its linearization cache is shared.  The memo keeps
+at most BASIS_CACHE_SIZE bases, dropping the least recently used; refused
+constructions are not remembered and raise again on every call.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -27,6 +34,7 @@ import numpy as np
 HARD_DEGREE_CAP = 512
 EPS_ORTH = 1e-9
 EPS_EIG = 1e-9
+BASIS_CACHE_SIZE = 256
 
 _FAMILIES = ("hermite", "laguerre", "jacobi")
 
@@ -41,7 +49,7 @@ class BasisKind:
     def __post_init__(self) -> None:
         if self.family not in _FAMILIES:
             raise ValueError(f"unknown basis family {self.family!r}")
-        p = tuple(float(v) for v in self.params)
+        p = tuple(float(v) + 0.0 for v in self.params)  # -0.0 becomes 0.0
         object.__setattr__(self, "params", p)
         if self.family == "hermite":
             if p:
@@ -225,8 +233,15 @@ class Basis:
         return cur
 
 
+# typed: a max_degree of another type (4.0, np.int64(4)) gets its own entry, so it
+# fails or succeeds as it would uncached instead of receiving an int-keyed basis.
+@functools.lru_cache(maxsize=BASIS_CACHE_SIZE, typed=True)
 def make_basis(kind: BasisKind, max_degree: int) -> Basis:
-    """Build a Basis and verify its invariants (hard failure on discrepancy)."""
+    """The verified Basis of (kind, max_degree), built once per process.
+
+    Raises on any construction-check discrepancy; the shared arrays are
+    read-only.
+    """
     if max_degree < 0:
         raise ValueError("max_degree must be >= 0")
     if max_degree > HARD_DEGREE_CAP:
@@ -235,6 +250,8 @@ def make_basis(kind: BasisKind, max_degree: int) -> Basis:
         )
     a, b = kind.recurrence(max_degree)
     lams = np.array([kind.eigenvalue(p) for p in range(max_degree + 1)])
+    for arr in (a, b, lams):
+        arr.setflags(write=False)
     basis = Basis(kind, max_degree, a, b, lams)
     _check_basis(basis)
     return basis

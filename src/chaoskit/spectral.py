@@ -312,17 +312,23 @@ def project(f: SpectralFn, eigenvalue: float) -> SpectralFn:
     return SpectralFn(f.space, kept)
 
 
+def _level_norm(f: SpectralFn, members: tuple[MultiIndex, ...]) -> float:
+    """L2 norm of F's terms on `members`; rescaled by math.hypot, like
+    SpectralFn.norm, only where the plain sum of squares leaves the float range."""
+    try:
+        out = float(np.sqrt(sum(f.coeffs[a] ** 2 for a in members)))
+    except OverflowError:  # a float square past the range
+        out = math.inf
+    return out if math.isfinite(out) else math.hypot(*(f.coeffs[a] for a in members))
+
+
 def eigenfunction_eigenvalue(f: SpectralFn, tol: float = CHAOS_TOL) -> float:
     """Eigenvalue of F, requiring a single spectral level up to relative mass tol."""
     if f.is_zero():
         raise ValueError("the zero function is not an eigenfunction")
     spec = spectrum(f)
     nrm = f.norm()
-    significant = [
-        lvl
-        for lvl in spec.levels
-        if np.sqrt(sum(f.coeffs[a] ** 2 for a in lvl.members)) > tol * nrm
-    ]
+    significant = [lvl for lvl in spec.levels if _level_norm(f, lvl.members) > tol * nrm]
     if len(significant) != 1:
         raise ValueError(
             "not an eigenfunction: spectral mass on eigenvalues "
@@ -362,9 +368,7 @@ def _membership(prod: SpectralFn, limit: float, tol: float,
     for lvl in spectrum(prod).levels:
         if lvl.eigenvalue - limit <= slack:
             continue
-        mass = float(
-            np.sqrt(sum(prod.coeffs[a] ** 2 for a in lvl.members)) / nrm
-        )
+        mass = _level_norm(prod, lvl.members) / nrm
         offenders.append((lvl.eigenvalue, mass))
         if mass > tol:
             ok = False

@@ -1,13 +1,17 @@
 """Report digests of the shipped configs, for byte-identity checks across commits.
 
-    python3 tests/golden_digests.py [MC_SEED ...]
+    python3 tests/golden_digests.py [SEED ...]
 
 Runs each `configs/*.json` and the benchmark's mc-bound request for every
-MC_SEED (default: 1) in-process, into a temporary directory, and prints one
+SEED (default: 1) in-process, into a temporary directory, and prints one
 line per run: the sha256 of `report.csv` and of `report.json` with the output
-directory replaced by `<out>`.  It imports chaoskit from the `src/` next to
-this directory, so running the script of two checkouts and diffing the output
-shows whether a change moved any report byte.  Not collected by pytest.
+directory replaced by `<out>`.  For every seed it then runs the 40 requests of
+round 0 of the benchmark's many-small workload (fresh Laguerre and Jacobi
+spreads, thm33-check, product-formula-check) and prints one sha256 over all
+their report digests, in request order.  It imports chaoskit from the `src/`
+next to this directory, so running the script of two checkouts and diffing
+the output shows whether a change moved any report byte.  Not collected by
+pytest.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ sys.path.insert(0, str(ROOT / "src"))
 sys.path.insert(0, str(ROOT / "bench"))
 
 from chaoskit import experiments  # noqa: E402
-from workloads import mc_bound  # noqa: E402
+from workloads import many_small, mc_bound  # noqa: E402
 
 
 def _digests(config: dict, out: Path) -> tuple[str, str]:
@@ -36,11 +40,18 @@ def _digests(config: dict, out: Path) -> tuple[str, str]:
 def main(argv: list[str]) -> int:
     runs = [(p.name, json.loads(p.read_text()))
             for p in sorted((ROOT / "configs").glob("*.json"))]
-    runs += [(f"mc-bound seed {s}", mc_bound(int(s), 0)[0].config) for s in argv or ["1"]]
+    seeds = argv or ["1"]
+    runs += [(f"mc-bound seed {s}", mc_bound(int(s), 0)[0].config) for s in seeds]
     with tempfile.TemporaryDirectory() as tmp:
         for k, (label, config) in enumerate(runs):
             csv, js = _digests(config, Path(tmp) / str(k))
             print(f"{label}: csv {csv} json {js}")
+        for s in seeds:
+            total = hashlib.sha256()
+            for k, req in enumerate(many_small(int(s), 0)):
+                csv, js = _digests(req.config, Path(tmp) / f"many-small-{s}-{k}")
+                total.update(f"{csv} {js}\n".encode())
+            print(f"many-small seed {s} round 0: {total.hexdigest()}")
     return 0
 
 

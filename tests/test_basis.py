@@ -12,8 +12,9 @@ from chaoskit import (
     jacobi,
     laguerre,
     make_basis,
+    product_space,
 )
-from chaoskit.basis import HARD_DEGREE_CAP
+from chaoskit.basis import BASIS_CACHE_SIZE, HARD_DEGREE_CAP
 
 import oracles
 from oracles import X
@@ -112,6 +113,44 @@ def test_parameter_validation():
         make_basis(hermite(), -1)
     with pytest.raises(ValueError):
         make_basis(hermite(), 513)
+
+
+# -- one verified basis per (kind, max_degree) ---------------------------------
+
+
+def test_make_basis_returns_one_shared_basis_per_key():
+    assert make_basis(jacobi(2.0, 3.0), 7) is make_basis(jacobi(2.0, 3.0), 7)
+    assert make_basis(hermite(), 7) is not make_basis(hermite(), 8)
+    first, second = product_space(laguerre(0.5), 6, 2), product_space(laguerre(0.5), 6, 3)
+    assert first.coords[0] is second.coords[0]
+    assert make_basis.cache_info().maxsize == BASIS_CACHE_SIZE
+    with pytest.raises(TypeError):  # not served from the int-keyed entry
+        make_basis(hermite(), 7.0)
+
+
+def test_shared_basis_arrays_are_read_only():
+    basis = make_basis(laguerre(0.5), 5)
+    for arr in (basis.rec_a, basis.rec_b, basis.eigenvalues):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[1] = 0.0
+
+
+@pytest.mark.parametrize("kind, degree, error", [
+    (hermite(), HARD_DEGREE_CAP + 1, ValueError),
+    (laguerre(0.0), 400, RuntimeError),  # values overflow the construction check
+], ids=["degree-cap", "laguerre-overflow"])
+def test_refused_construction_raises_on_every_call(kind, degree, error):
+    for _ in range(2):
+        with pytest.raises(error):
+            make_basis(kind, degree)
+
+
+def test_signed_zero_parameter_shares_one_label():
+    """laguerre(-0.0) == laguerre(0.0), so both must label (and report) alike."""
+    assert laguerre(-0.0) == laguerre(0.0)
+    assert laguerre(-0.0).label() == "laguerre(0)"
+    assert make_basis(laguerre(-0.0), 3).kind.label() == "laguerre(0)"
+    assert make_basis(laguerre(0.0), 3) is make_basis(laguerre(-0.0), 3)
 
 
 # -- quadrature ---------------------------------------------------------------

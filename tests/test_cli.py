@@ -40,7 +40,8 @@ def test_fmt_verify_run(tmp_path, capsys):
     code = main(["fmt-verify", "--config", fmt_config(tmp_path)])
     assert code == 0
     out_dir = tmp_path / "out"
-    rows = list(csv.DictReader(open(out_dir / "report.csv")))
+    with open(out_dir / "report.csv") as fh:
+        rows = list(csv.DictReader(fh))
     assert [r["n"] for r in rows] == ["1", "2", "3"]
     for r in rows:
         assert abs(float(r["m4"]) - (3.0 + 12.0 / int(r["n"]))) <= 1e-9
@@ -150,7 +151,8 @@ def test_joint_verify_csv_schema(tmp_path):
         "out": str(tmp_path / "jv"),
     })
     assert main(["joint-verify", "--config", cfg]) == 0
-    rows = list(csv.DictReader(open(tmp_path / "jv" / "report.csv")))
+    with open(tmp_path / "jv" / "report.csv") as fh:
+        rows = list(csv.DictReader(fh))
     assert list(rows[0]) == ["n", "i", "j", "lambda_i", "lambda_j", "cov",
                              "mixed22", "isserlis", "r_ij", "var_gamma_ij"]
     assert len(rows) == 2 * 4  # per n: 2x2 ordered pairs
@@ -243,7 +245,8 @@ def test_bound_check_small(tmp_path):
         "out": str(tmp_path / "bc"),
     })
     assert main(["bound-check", "--config", cfg]) == 0
-    rows = list(csv.DictReader(open(tmp_path / "bc" / "report.csv")))
+    with open(tmp_path / "bc" / "report.csv") as fh:
+        rows = list(csv.DictReader(fh))
     assert all(r["pass"] == "true" for r in rows)
 
 

@@ -1,0 +1,74 @@
+"""Property tests of the coefficient algebra over all three families.
+
+Random spaces (Hermite, Laguerre(alpha), Jacobi(a, b); one or two coordinates
+of max_degree 16) carry random sparse functions of degree at most 5 per
+coordinate, so every triple product stays representable.  The runs are
+derandomized and keep no example database, so they repeat exactly.
+"""
+
+from __future__ import annotations
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from chaoskit import SpectralFn, apply_L, gamma, hermite, inner, jacobi, laguerre, multiply
+from chaoskit import product_space
+
+MAX_DEGREE = 16
+TERM_DEGREE = 5  # 3 * 5 <= 16: (FG)H and Gamma(FG, H) fit in the space
+RTOL = 1e-12
+
+PROPERTY_SETTINGS = settings(max_examples=40, deadline=None, derandomize=True, database=None)
+
+kinds = st.one_of(
+    st.just(hermite()),
+    st.builds(laguerre, st.floats(0.0, 2.0)),
+    st.builds(jacobi, st.floats(0.5, 4.0), st.floats(0.5, 4.0)),
+)
+
+
+@st.composite
+def functions(draw, count):
+    """`count` random functions on one random space."""
+    space = product_space(draw(kinds), MAX_DEGREE, draw(st.integers(1, 2)))
+    index = st.tuples(*[st.integers(0, TERM_DEGREE)] * space.dim)
+    coeffs = st.dictionaries(index, st.floats(-1.0, 1.0).filter(bool), min_size=1, max_size=4)
+    return [SpectralFn(space, draw(coeffs)) for _ in range(count)]
+
+
+def _abs(f: SpectralFn) -> SpectralFn:
+    return SpectralFn(f.space, {a: abs(v) for a, v in f.coeffs.items()})
+
+
+def _assert_close(lhs: SpectralFn, rhs: SpectralFn, scale: float) -> None:
+    assert (lhs - rhs).norm() <= RTOL * scale, (lhs.items_sorted(), rhs.items_sorted())
+
+
+@PROPERTY_SETTINGS
+@given(functions(2))
+def test_integration_by_parts(fg):
+    """int Gamma(F, G) dmu = -int F LG dmu."""
+    f, g = fg
+    terms = inner(_abs(f), _abs(apply_L(g)))
+    assert abs(gamma(f, g).integral() + inner(f, apply_L(g))) <= RTOL * (1.0 + terms)
+
+
+@PROPERTY_SETTINGS
+@given(functions(3))
+def test_derivation_property(fgh):
+    """Gamma(FG, H) = F Gamma(G, H) + G Gamma(F, H)."""
+    f, g, h = fgh
+    lhs = gamma(multiply(f, g), h)
+    rhs = multiply(f, gamma(g, h)) + multiply(g, gamma(f, h))
+    _assert_close(lhs, rhs, 1.0 + lhs.norm() + rhs.norm())
+
+
+@PROPERTY_SETTINGS
+@given(functions(3))
+def test_multiply_commutative_and_associative(fgh):
+    f, g, h = fgh
+    fg = multiply(f, g)
+    _assert_close(fg, multiply(g, f), 1.0 + fg.norm())
+    left = multiply(fg, h)
+    right = multiply(f, multiply(g, h))
+    _assert_close(left, right, 1.0 + left.norm())

@@ -423,6 +423,19 @@ def test_norm_finite_where_sum_of_squares_overflows():
     assert small.norm() == float(np.sqrt(0.7 * 0.7 + 0.2 * 0.2))
 
 
+def test_level_masses_finite_where_squares_overflow():
+    """A level whose squared coefficients leave the float range still gets
+    its mass: 1e160 on Q_4 against a norm of 1e200 is mass 1e-40."""
+    from chaoskit.spectral import _membership
+
+    f = SpectralFn(product_space(hermite(), 4, 1), {(0,): 1e200, (4,): 1e160})
+    chk = _membership(f, limit=2.0, tol=1e-8, eigenvalue=1.0)
+    assert chk.ok
+    [(lam, mass)] = chk.offenders
+    assert lam == 4.0 and abs(mass / 1e-40 - 1) <= 1e-15
+    assert eigenfunction_eigenvalue(f) == 0.0
+
+
 def test_chaotic_vector_examples():
     assert is_chaotic_vector((q(H1, 1), q(H1, 2))).ok
     single = is_chaotic_vector((q(H1, 2),))
