@@ -65,12 +65,6 @@ class BasisKind:
             if not (p[0] > 0 and p[1] > 0):
                 raise ValueError(f"jacobi requires a > 0 and b > 0, got {p}")
 
-    @property
-    def alpha(self) -> float:
-        if self.family != "laguerre":
-            raise AttributeError("alpha is only defined for laguerre")
-        return self.params[0]
-
     def eigenvalue(self, p: int) -> float:
         if self.family == "jacobi":
             a, b = self.params

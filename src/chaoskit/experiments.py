@@ -18,10 +18,10 @@ from pathlib import Path
 import numpy as np
 
 from . import moments, montecarlo, sequences, spectral, wiener
-from .basis import BasisKind
+from .basis import BasisKind, hermite, make_basis
 from .moments import CSV_COLUMNS, GaussianTarget
 from .sequences import SequenceSpec
-from .spectral import SpectralFn, product_space
+from .spectral import CHAOS_TOL, SpectralFn, product_space
 
 EXPERIMENTS = (
     "chaos-check",
@@ -34,7 +34,7 @@ EXPERIMENTS = (
 
 DEFAULT_TOLERANCES = {
     "closed_form": 1e-9,
-    "chaos": 1e-8,
+    "chaos": CHAOS_TOL,
     "thm33": 1e-8,
     "product_formula": 1e-10,
 }
@@ -104,8 +104,8 @@ def parse_config(obj: dict, seed_override: int | None = None,
         )
     seed = obj.get("seed", 0) if seed_override is None else seed_override
     seed = _convert("seed", seed, int)
-    if seed < 0:
-        raise ConfigError("seed must be nonnegative")
+    if not 0 <= seed < 2**64:
+        raise ConfigError(f"seed must be an unsigned 64-bit integer, got {seed}")
     out = out_override if out_override is not None else obj.get("out", f"reports/{experiment}")
     out = _convert("out", out, Path)
 
@@ -120,7 +120,8 @@ def parse_config(obj: dict, seed_override: int | None = None,
     if experiment in ("chaos-check", "fmt-verify", "joint-verify"):
         try:
             spec = SequenceSpec.from_json(_require(obj, "sequence"))
-        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            spec.build(1)  # builds (memoized) the basis every grid point uses
+        except (AttributeError, KeyError, TypeError, ValueError, RuntimeError) as exc:
             raise ConfigError(f"bad sequence spec: {exc}") from exc
         grid = _convert("n_grid", _require(obj, "n_grid"), _ints)
         if not grid or any(n < 1 for n in grid):
@@ -144,12 +145,12 @@ def parse_config(obj: dict, seed_override: int | None = None,
             if not isinstance(v, dict):
                 raise ConfigError(f"bad vector spec {v!r}")
             try:
-                _vector_args(v)
+                fs, _, _ = build_test_vector(v)
             except KeyError as exc:
                 raise ConfigError(f"vector spec {v!r} is missing {exc}") from exc
-            except (TypeError, ValueError) as exc:
+            except (TypeError, ValueError, RuntimeError) as exc:
                 raise ConfigError(f"bad vector spec {v!r}: {exc}") from exc
-            if not t_grid(t_axis, 1 if v["type"] == "eigenfunction" else 2, t_max):
+            if not t_grid(t_axis, len(fs), t_max):
                 raise ConfigError(f"vector spec {v!r} has no grid point with ||t|| <= t_max")
         n_samples = _convert("n_samples", obj.get("n_samples", 100_000), int)
         if n_samples < 1:
@@ -177,6 +178,15 @@ def parse_config(obj: dict, seed_override: int | None = None,
             max_coords = _convert("m_max", obj.get("m_max", 4), int)
         if max_coords < 1 or max_degree < 1:
             raise ConfigError("dimension and degree limits must be >= 1")
+        # Build (memoized) the largest basis of each family the run draws from;
+        # product-formula-check puts I_p on Hermite coordinates of degree 2p.
+        bases = ([(kind, max_degree) for kind in families] if experiment == "thm33-check"
+                 else [(hermite(), 2 * max_degree)])
+        for kind, degree in bases:
+            try:
+                make_basis(kind, degree)
+            except (RuntimeError, ValueError) as exc:
+                raise ConfigError(f"cannot build the {kind.label()} basis: {exc}") from exc
         kwargs.update(
             count=count, families=families,
             max_coords=max_coords, max_degree=max_degree,
@@ -250,27 +260,19 @@ def _run_chaos_check(cfg: ExperimentConfig):
     for n in cfg.n_grid:
         built = spec.build(n)
         fs = (built,) if isinstance(built, SpectralFn) else tuple(built)
-        lams = [spectral.eigenfunction_eigenvalue(f, tol) for f in fs]
-        # is_chaotic per component; its checks of F_i^2 are also the vector's
-        # i = j pairs, which differ only in the eigenvalue they record
-        checks = [spectral._membership(spectral.multiply(f, f), 2.0 * lam, tol, lam)
-                  for f, lam in zip(fs, lams)]
-        for idx, chk in enumerate(checks):
-            rows.append([
-                n, f"F{idx + 1}" if len(fs) > 1 else "F", chk.eigenvalue,
-                chk.ok, len(chk.offenders),
-                max((m for _, m in chk.offenders), default=0.0),
-            ])
-        ok_all = all(chk.ok for chk in checks)
+        verdict = spectral.is_chaotic_vector(fs, tol)
+        for i, j, chk in verdict.pairs:
+            if i == j:
+                rows.append([
+                    n, f"F{i + 1}" if len(fs) > 1 else "F", chk.eigenvalue,
+                    chk.ok, len(chk.offenders),
+                    max((m for _, m in chk.offenders), default=0.0),
+                ])
         if len(fs) > 1:
-            cross = [spectral._joint_membership(spectral.multiply(fs[i], fs[j]),
-                                                lams[i], lams[j], tol)
-                     for i in range(len(fs)) for j in range(i + 1, len(fs))]
-            vec_ok = ok_all and all(chk.ok for chk in cross)
-            masses = [m for chk in checks + cross for _, m in chk.offenders]
-            rows.append([n, "vector", math.nan, vec_ok, len(masses), max(masses, default=0.0)])
-            ok_all = vec_ok
-        if not ok_all:
+            masses = [m for _, _, chk in verdict.pairs for _, m in chk.offenders]
+            rows.append([n, "vector", math.nan, verdict.ok, len(masses),
+                         max(masses, default=0.0)])
+        if not verdict.ok:
             failures.append(f"chaos-check: not chaotic at n={n}")
     summary = {"tol": tol, "all_chaotic": not failures}
     return columns, rows, summary, failures
@@ -360,39 +362,25 @@ def _run_joint_verify(cfg: ExperimentConfig):
     return columns, rows, {"per_n": per_n}, failures
 
 
-def _vector_args(v: dict) -> tuple[BasisKind, tuple]:
-    """Typed, range-checked fields of a test-vector entry: (kind, args).
-
-    args is (degree, scale) for an eigenfunction and (p1, p2, rho, n) for a
-    pair; a missing field raises KeyError, a malformed one ValueError or TypeError.
-    """
-    vtype = v.get("type")
-    if vtype not in ("eigenfunction", "pair_mixed"):
-        raise ConfigError(f"unknown test-vector type {vtype!r}")
-    kind = BasisKind.from_json(v.get("kind", {"kind": "hermite"}))
-    if vtype == "eigenfunction":
-        degree, scale = int(v["degree"]), float(v.get("scale", 1.0))
-        sequences._check_spread(degree)
-        if not math.isfinite(scale):
-            raise ValueError(f"scale must be finite, got {scale}")
-        return kind, (degree, scale)
-    p1, p2, rho, n = int(v["p1"]), int(v["p2"]), float(v.get("rho", 0.0)), int(v["n"])
-    sequences._check_pair_mixed(p1, p2, rho)
-    if n < 1:
-        raise ValueError("pair_mixed needs n >= 1")
-    return kind, (p1, p2, rho, n)
-
-
 def build_test_vector(v: dict) -> tuple[tuple[SpectralFn, ...], GaussianTarget, str]:
-    """Construct a named test vector and its exact covariance from a config entry."""
-    kind, args = _vector_args(v)
-    if v["type"] == "eigenfunction":
-        p, scale = args
-        fs: tuple[SpectralFn, ...] = (sequences.spread(kind, p, 1).scale(scale),)
+    """Construct a named test vector and its exact covariance from a config entry.
+
+    A missing field raises KeyError, a malformed or out-of-range one ValueError
+    or TypeError (from the constructors), a refused basis RuntimeError.
+    """
+    kind = BasisKind.from_json(v.get("kind", {"kind": "hermite"}))
+    if v.get("type") == "eigenfunction":
+        p = int(v["degree"])
+        fs: tuple[SpectralFn, ...] = (
+            sequences.spread(kind, p, 1).scale(float(v.get("scale", 1.0))),
+        )
         name = v.get("name", f"{kind.label()}-Q{p}")
-    else:
-        fs = sequences.pair_mixed(*args, kind=kind)
+    elif v.get("type") == "pair_mixed":
+        fs = sequences.pair_mixed(int(v["p1"]), int(v["p2"]), float(v.get("rho", 0.0)),
+                                  int(v["n"]), kind=kind)
         name = v.get("name", f"pair({v['p1']},{v['p2']},{v.get('rho', 0.0)},{v['n']})")
+    else:
+        raise ValueError(f"unknown test-vector type {v.get('type')!r}")
     return fs, GaussianTarget(moments._covariance(fs)), str(name)
 
 

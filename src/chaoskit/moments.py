@@ -29,8 +29,7 @@ from .spectral import (
     EPS_GROUP,
     SpectralFn,
     _check_same_space,
-    _joint_membership,
-    _membership,
+    _vector_chaos,
     apply_Linv,
     eigenfunction_eigenvalue,
     gamma,
@@ -264,19 +263,21 @@ class JointReport:
         return rows
 
 
-def _fmt(f: SpectralFn, sq: SpectralFn, lam: float, tol: float) -> FmtReport:
-    """FmtReport of F from its square and eigenvalue."""
+def _fmt(f: SpectralFn, sq: SpectralFn, chaotic: bool) -> FmtReport:
+    """FmtReport of F from its square and its is_chaotic verdict."""
     return FmtReport(
         m2=inner(f, f),
         m4=inner(sq, sq),
         var_gamma=var_gamma(f, f),
-        chaotic=_membership(sq, 2.0 * lam, tol, lam).ok,
+        chaotic=chaotic,
         centered=abs(f.integral()) <= EPS_ORTH,
     )
 
 
 def fmt_report(f: SpectralFn, tol: float = CHAOS_TOL) -> FmtReport:
-    return _fmt(f, multiply(f, f), eigenfunction_eigenvalue(f, tol), tol)
+    sq = multiply(f, f)
+    lam = eigenfunction_eigenvalue(f, tol)
+    return _fmt(f, sq, _vector_chaos((f,), [lam], [sq], tol).ok)
 
 
 def joint_report(fs: list[SpectralFn] | tuple[SpectralFn, ...],
@@ -285,14 +286,16 @@ def joint_report(fs: list[SpectralFn] | tuple[SpectralFn, ...],
     """Pairwise diagnostics of a centered eigenfunction vector.  Each F_i^2 and
     each Gamma(F_i, -L^-1 F_j) is built once; every entry equals fmt_report,
     mixed22, remainder_r, var_gamma or prop31_bound of the same inputs bit for bit,
-    and chaotic_vector is is_chaotic_vector(fs, tol).ok: the squares give the
-    diagonal verdicts, the d(d-1)/2 cross products F_i F_j the others."""
+    and chaotic_vector is is_chaotic_vector(fs, tol).ok, decided from the same
+    squares and the d(d-1)/2 cross products F_i F_j."""
     fs = tuple(fs)
     c = _target(fs, c)
     d = len(fs)
     squares = [multiply(f, f) for f in fs]
     lams = tuple(eigenfunction_eigenvalue(f, tol) for f in fs)
-    comps = tuple(_fmt(f, sq, lam, tol) for f, sq, lam in zip(fs, squares, lams))
+    chaos = _vector_chaos(fs, lams, squares, tol)
+    diagonal = [chk.ok for i, j, chk in chaos.pairs if i == j]
+    comps = tuple(_fmt(f, sq, ok) for f, sq, ok in zip(fs, squares, diagonal))
     gammas = _gammas(fs)
     cov = _covariance(fs)
     m22 = np.zeros((d, d))
@@ -306,8 +309,6 @@ def joint_report(fs: list[SpectralFn] | tuple[SpectralFn, ...],
             rmat[i, j] = _remainder(c, i, j, lams[i], lams[j],
                                     cov[i, i], cov[j, j], cov[i, j], m22[i, j])
             vg[i, j] = _variance(gammas[i][j])
-    cross = (_joint_membership(multiply(fs[i], fs[j]), lams[i], lams[j], tol).ok
-             for i in range(d) for j in range(i + 1, d))
     return JointReport(
         components=comps,
         eigenvalues=lams,
@@ -317,5 +318,5 @@ def joint_report(fs: list[SpectralFn] | tuple[SpectralFn, ...],
         r_matrix=rmat,
         var_gamma_m=vg,
         prop31=_prop31(gammas, c),
-        chaotic_vector=all(comp.chaotic for comp in comps) and all(cross),
+        chaotic_vector=chaos.ok,
     )

@@ -375,12 +375,6 @@ def _membership(prod: SpectralFn, limit: float, tol: float,
     return ChaosCheck(ok, eigenvalue, limit, tuple(offenders))
 
 
-def _joint_membership(prod: SpectralFn, lam_f: float, lam_g: float,
-                      tol: float) -> ChaosCheck:
-    """Chaos check of the product FG of eigenfunctions at lam_f and lam_g."""
-    return _membership(prod, lam_f + lam_g, tol, lam_f + lam_g)
-
-
 def is_chaotic(f: SpectralFn, tol: float = CHAOS_TOL) -> ChaosCheck:
     """Does F^2 expand only over eigenvalues <= 2 Lambda_F?  (chaos eigenfunction)"""
     lam = eigenfunction_eigenvalue(f, tol)
@@ -393,9 +387,8 @@ def is_jointly_chaotic(f: SpectralFn, g: SpectralFn,
 
     A vanishing product is jointly chaotic by convention (vacuous membership).
     """
-    lam_f = eigenfunction_eigenvalue(f, tol)
-    lam_g = eigenfunction_eigenvalue(g, tol)
-    return _joint_membership(multiply(f, g), lam_f, lam_g, tol)
+    lam = eigenfunction_eigenvalue(f, tol) + eigenfunction_eigenvalue(g, tol)
+    return _membership(multiply(f, g), lam, tol, lam)
 
 
 @dataclass(frozen=True)
@@ -409,17 +402,28 @@ class VectorChaosCheck:
 
 def is_chaotic_vector(fs: list[SpectralFn] | tuple[SpectralFn, ...],
                       tol: float = CHAOS_TOL) -> VectorChaosCheck:
-    """Joint chaos of every unordered pair of components, including i = j."""
+    """Joint chaos of every unordered pair of components, including i = j.
+
+    Entry (i, i) is is_chaotic(F_i) and entry (i, j), i < j, is
+    is_jointly_chaotic(F_i, F_j), field for field.
+    """
     fs = tuple(fs)
     if not fs:
         raise ValueError("empty vector")
     for f in fs[1:]:
         _check_same_space(fs[0], f)
+    lams = [eigenfunction_eigenvalue(f, tol) for f in fs]
+    return _vector_chaos(fs, lams, [multiply(f, f) for f in fs], tol)
+
+
+def _vector_chaos(fs: tuple[SpectralFn, ...], eigenvalues, squares,
+                  tol: float) -> VectorChaosCheck:
+    """is_chaotic_vector from the components' eigenvalues and squares F_i^2;
+    builds each cross product F_i F_j (i < j) once."""
     pairs = []
-    ok = True
-    for i in range(len(fs)):
-        for j in range(i, len(fs)):
-            chk = is_jointly_chaotic(fs[i], fs[j], tol)
-            pairs.append((i, j, chk))
-            ok = ok and chk.ok
-    return VectorChaosCheck(ok, tuple(pairs))
+    for i, (f, lam, sq) in enumerate(zip(fs, eigenvalues, squares)):
+        pairs.append((i, i, _membership(sq, 2.0 * lam, tol, lam)))
+        for j in range(i + 1, len(fs)):
+            lam_ij = lam + eigenvalues[j]
+            pairs.append((i, j, _membership(multiply(f, fs[j]), lam_ij, tol, lam_ij)))
+    return VectorChaosCheck(all(chk.ok for _, _, chk in pairs), tuple(pairs))

@@ -309,6 +309,11 @@ def test_parse_config_validation():
         {"experiment": "bound-check", "vectors": [q1], "t_axis": []},
         {"experiment": "bound-check", "vectors": [q1], "t_max": 0.1},
         {"experiment": "bound-check", "vectors": [q1, pair], "t_axis": [1.0], "t_max": 1.2},
+        # Bases past the degree cap, and a seed past uint64.
+        {"experiment": "thm33-check", "max_degree": 600},
+        {"experiment": "fmt-verify", "sequence": dict(SPREAD, p=300), "n_grid": [1]},
+        {"experiment": "bound-check", "vectors": [dict(q1, degree=300)]},
+        {"experiment": "bound-check", "vectors": [q1], "seed": 2**200},
     ):
         with pytest.raises(ConfigError):
             parse_config(obj)
@@ -316,3 +321,6 @@ def test_parse_config_validation():
     cfg = parse_config({"experiment": "bound-check", "vectors": [q1], "t_axis": [1.0],
                         "t_max": 1.2})
     assert cfg.t_axis == (1.0,) and cfg.t_max == 1.2
+    assert parse_config({"experiment": "thm33-check", "seed": 2**64 - 1}).seed == 2**64 - 1
+    with pytest.raises(ConfigError, match="64-bit"):
+        parse_config({"experiment": "thm33-check", "seed": 2**64})

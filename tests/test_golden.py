@@ -1,0 +1,34 @@
+"""Byte identity of the exact-algebra reports.
+
+Each shipped config below runs in-process and its `report.csv` must hash to
+the pinned sha256.  These four reports are pure coefficient algebra, so a
+refactor that moves any byte is a numerical change.  A deliberate numerical
+change updates these hashes, and CHANGES.md lists the rows it moved and why.
+bound_check.json (vectorized `exp`, sampling) and product_formula.json (BLAS
+`tensordot`) may differ in the last bit across machines; `golden_digests.py`
+covers them between two checkouts on one machine.
+"""
+
+from __future__ import annotations
+
+import hashlib
+from pathlib import Path
+
+import pytest
+
+from chaoskit.experiments import load_config, run
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+CSV_SHA256 = {
+    "chaos_hermite2": "81173561ecffd45f97766c1f7c836a514bff14a55cd7e737ea8f19f434bdfa88",
+    "fmt_hermite2": "e002d46a6f4e63bc2caa6c924d70bb8cebf1bf444be344ddb21b12862bcbce0b",
+    "joint_pair": "d583b3fe9347ae3dd4ee6ae19ac2ef2a60da6cc6751c1a588fb7cf201f7defed",
+    "thm33": "6f3370b4a8efe7bb699ff802f8bcd361849daa97cd24fac2d9c77cb6deaad38c",
+}
+
+
+@pytest.mark.parametrize("name", sorted(CSV_SHA256))
+def test_report_csv_digest(name, tmp_path):
+    result = run(load_config(CONFIGS / f"{name}.json", out_override=str(tmp_path)))
+    assert hashlib.sha256(result.report_csv.read_bytes()).hexdigest() == CSV_SHA256[name]

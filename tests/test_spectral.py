@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from chaoskit import (
+    GaussianTarget,
     ProductSpace,
     SampleBatch,
     SpectralFn,
@@ -24,11 +25,13 @@ from chaoskit import (
     is_chaotic_vector,
     is_jointly_chaotic,
     jacobi,
+    joint_report,
     laguerre,
     make_basis,
     moment4,
     montecarlo,
     multiply,
+    pair_mixed,
     product_space,
     project,
     spectrum,
@@ -437,10 +440,25 @@ def test_level_masses_finite_where_squares_overflow():
 
 
 def test_chaotic_vector_examples():
+    """The vector's i = j entries are is_chaotic(F_i) (limit 2 lambda_i, eigenvalue
+    lambda_i), its i < j entries is_jointly_chaotic(F_i, F_j), field for field,
+    and joint_report's component and vector verdicts read the same checks."""
     assert is_chaotic_vector((q(H1, 1), q(H1, 2))).ok
     single = is_chaotic_vector((q(H1, 2),))
     assert single.ok == is_chaotic(q(H1, 2)).ok
     assert is_chaotic_vector((q(H2, 1, 0), q(H2, 0, 1))).ok
+    for kind, chaotic in ((hermite(), True), (jacobi(2.0, 3.0), False)):
+        fs = pair_mixed(2, 2, 0.5, 3, kind=kind)
+        verdict = is_chaotic_vector(fs)
+        assert [(i, j) for i, j, _ in verdict.pairs] == [(0, 0), (0, 1), (1, 1)]
+        for i, j, chk in verdict.pairs:
+            assert chk == (is_chaotic(fs[i]) if i == j else is_jointly_chaotic(fs[i], fs[j]))
+            assert bool(chk.offenders) is not chaotic  # Jacobi: lambda_4 > 2 lambda_2
+        assert verdict.ok is chaotic
+        rep = joint_report(fs, GaussianTarget([[inner(f, g) for g in fs] for f in fs]))
+        assert [c.chaotic for c in rep.components] == [
+            chk.ok for i, j, chk in verdict.pairs if i == j]
+        assert rep.chaotic_vector is verdict.ok
 
 
 # -- serialization ------------------------------------------------------------
