@@ -145,7 +145,9 @@ def parse_config(obj: dict, seed_override: int | None = None,
             if not isinstance(v, dict):
                 raise ConfigError(f"bad vector spec {v!r}")
             try:
-                fs, _, _ = build_test_vector(v)
+                fs, _ = _test_vector(v)
+                for f in fs:  # the covariance the run builds needs finite moments
+                    spectral.inner(f, f)
             except KeyError as exc:
                 raise ConfigError(f"vector spec {v!r} is missing {exc}") from exc
             except (TypeError, ValueError, RuntimeError) as exc:
@@ -362,12 +364,9 @@ def _run_joint_verify(cfg: ExperimentConfig):
     return columns, rows, {"per_n": per_n}, failures
 
 
-def build_test_vector(v: dict) -> tuple[tuple[SpectralFn, ...], GaussianTarget, str]:
-    """Construct a named test vector and its exact covariance from a config entry.
-
-    A missing field raises KeyError, a malformed or out-of-range one ValueError
-    or TypeError (from the constructors), a refused basis RuntimeError.
-    """
+def _test_vector(v: dict) -> tuple[tuple[SpectralFn, ...], str]:
+    """The components and name of a config's test vector; raises as
+    `build_test_vector` does."""
     kind = BasisKind.from_json(v.get("kind", {"kind": "hermite"}))
     if v.get("type") == "eigenfunction":
         p = int(v["degree"])
@@ -381,7 +380,17 @@ def build_test_vector(v: dict) -> tuple[tuple[SpectralFn, ...], GaussianTarget, 
         name = v.get("name", f"pair({v['p1']},{v['p2']},{v.get('rho', 0.0)},{v['n']})")
     else:
         raise ValueError(f"unknown test-vector type {v.get('type')!r}")
-    return fs, GaussianTarget(moments._covariance(fs)), str(name)
+    return fs, str(name)
+
+
+def build_test_vector(v: dict) -> tuple[tuple[SpectralFn, ...], GaussianTarget, str]:
+    """Construct a named test vector and its exact covariance from a config entry.
+
+    A missing field raises KeyError, a malformed or out-of-range one ValueError
+    or TypeError (from the constructors), a refused basis RuntimeError.
+    """
+    fs, name = _test_vector(v)
+    return fs, GaussianTarget(moments._covariance(fs)), name
 
 
 def t_grid(axis: tuple[float, ...], dim: int, t_max: float) -> list[np.ndarray]:

@@ -10,18 +10,30 @@ each coordinate's column is contiguous to write and to read.
 
 Cost model of the characteristic-function check: `cf_gaps` evaluates each
 component once per batch (recurrence tables from `Basis.eval_all`, then one
-pass over the support), then spends, per frequency t, one weighted sum of the
-component values and one complex `exp` over the batch.  That per-t phase step
-is the floor and the largest share of a bound check.  It has no bit-identical
-shortcut: the means of `cos` and `sin` sum in another order than the complex
-mean of `exp(1j*s)`, and can differ from it in the last bit.
+pass over the support).  The phase step uses e^{i<t,F>} = prod_k e^{i t_k F_k}.
+Per component and distinct nonzero frequency w among the t_k it builds one
+factor e^{iwF_k}: the square of the factor for w/2 when w/2 is also among
+them, else one `cos`/`sin` pair written into the real and imaginary parts of
+a complex buffer (with numpy 2.4 on x86-64, bit for bit `exp(1j * w * F_k)`).
+Per t it takes one product of factors and one sum.  On the default axis
+(0.25, 0.5, 1, 2) every frequency but the smallest is a square, so
+`configs/bound_check.json` needs 10 cos/sin pairs and 30 complex squares for
+its 72 t, where one complex `exp` per t over the batch cost 72.  Nothing
+batch-sized is complex: each chunk task holds CHUNK-row factors.
 
-Parallelism: the per-t phase steps, the sample columns and the per-coordinate
-evaluation tables are independent numpy work that releases the interpreter
-lock, so `_map` runs them on one module-level thread pool, built on first use
-with one worker per usable core (the process's CPU affinity), at most
-MAX_WORKERS.  With one usable core it is a plain map.  Each task sums in the
-same order as a serial loop and results are placed by position, so every
+Since |z| = 1, var(Re z) + var(Im z) = 1 - |mean z|^2, so the standard error
+needs no second pass over z.  Against one complex `exp` of sum_k t_k F_k and
+two variances over the whole batch, the squares, the factor products, the
+chunked sums and this identity move gaps and standard errors by a few units
+in the last place.
+
+Parallelism: the sample columns, the per-coordinate evaluation tables and
+the phase step's chunk tasks (CHUNK sample rows each, all frequencies) are
+independent numpy work that releases the interpreter lock, so `_map` runs
+them on one module-level thread pool, built on first use with one worker per
+usable core (the process's CPU affinity), at most MAX_WORKERS.  With one
+usable core it is a plain map.  Each task sums in a fixed order, results are
+placed by position and the chunk sums are added in chunk order, so every
 value, and every report byte, is the same whatever the worker count.
 """
 
@@ -37,8 +49,9 @@ from .moments import GaussianTarget
 from .spectral import ProductSpace, SpectralFn
 
 CHUNK = 8192
-# Each worker holds a few batch-sized buffers at once; the cap bounds peak
-# memory on many-core hosts.
+# A worker building an evaluation table holds a (degree + 1) x batch
+# recurrence block; phase tasks hold only chunk-sized factors.  The cap bounds
+# peak memory on many-core hosts.
 MAX_WORKERS = 4
 
 
@@ -177,19 +190,40 @@ def cf_gaps(fs, c: GaussianTarget | np.ndarray, ts, batch: SampleBatch,
             raise ValueError(f"t has shape {t.shape}, expected ({len(fs)},)")
     if c.dim != len(fs):
         raise ValueError("covariance dimension does not match component count")
-    values = [evaluate(f, batch) if any(t[i] != 0.0 for t in ts) else None
-              for i, f in enumerate(fs)]
+    freqs = [{float(t[k]) for t in ts if t[k] != 0.0} for k in range(len(fs))]
+    values = [evaluate(f, batch) if freqs[k] else None for k, f in enumerate(fs)]
+    n = batch.n_samples
 
-    def phase(t: np.ndarray) -> tuple[float, float]:
-        s = np.zeros(batch.n_samples)
-        for ti, v in zip(t, values):
-            if ti != 0.0:
-                s += ti * v
-        z = np.exp(1j * s)
-        emp = z.mean()
+    def chunk_sums(start: int) -> np.ndarray:
+        rows = slice(start, min(start + CHUNK, n))
+        factor = {}
+        for k, ws in enumerate(freqs):
+            for w in sorted(ws, key=abs):
+                half = factor.get((k, w / 2))
+                if half is not None:  # e^{2iwF} = (e^{iwF})^2 costs no cos/sin
+                    factor[k, w] = half * half
+                    continue
+                phase = w * values[k][rows]
+                e = np.empty(phase.size, dtype=complex)
+                np.cos(phase, out=e.real)
+                np.sin(phase, out=e.imag)
+                factor[k, w] = e
+        sums = np.empty(len(ts), dtype=complex)
+        for i, t in enumerate(ts):
+            z = None
+            for k, w in enumerate(t):
+                if w != 0.0:
+                    z = factor[k, w] if z is None else z * factor[k, w]
+            sums[i] = rows.stop - start if z is None else z.sum()
+        return sums
+
+    # chunk sums added in chunk order, whatever the worker count
+    means = sum(_map(chunk_sums, range(0, n, CHUNK))) / n
+    out = []
+    for t, emp in zip(ts, means):
         exact = np.exp(-0.5 * float(t @ c.cov @ t))
-        gap = abs(emp - exact)
-        stderr = float(np.sqrt((z.real.var() + z.imag.var()) / batch.n_samples))
-        return float(gap), stderr
-
-    return _map(phase, ts)
+        # |z| = 1, so var(Re z) + var(Im z) = 1 - |mean z|^2; one sample has
+        # variance 0, where the identity would leave a rounding residue
+        var = max(0.0, 1.0 - abs(emp) ** 2) if n > 1 else 0.0
+        out.append((float(abs(emp - exact)), float(np.sqrt(var / n))))
+    return out

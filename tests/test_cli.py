@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from chaoskit import montecarlo
+from chaoskit import moments, montecarlo
 from chaoskit.cli import main
 from chaoskit.experiments import ConfigError, load_config, parse_config, run
 
@@ -257,6 +257,27 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert "chaoskit" in proc.stdout
+
+
+def test_parse_config_builds_no_covariance(monkeypatch):
+    """Bound-check vectors are validated without the covariance the run builds."""
+    made = []
+    plain = moments.GaussianTarget.__post_init__
+
+    def counting(self):
+        made.append(self)
+        plain(self)
+
+    monkeypatch.setattr(moments.GaussianTarget, "__post_init__", counting)
+    cfg = load_config(Path(__file__).parent.parent / "configs" / "bound_check.json")
+    assert len(cfg.vectors) == 6 and made == []
+    # A scale whose second moment overflows is refused with the message the
+    # covariance would raise.
+    q1 = {"type": "eigenfunction", "degree": 1, "scale": 1e200}
+    with pytest.raises(ConfigError,
+                       match=r"bad vector spec .*: inner product is not finite \(inf\)"):
+        parse_config({"experiment": "bound-check", "vectors": [q1]})
+    assert made == []
 
 
 def test_parse_config_validation():

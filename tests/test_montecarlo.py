@@ -217,6 +217,46 @@ def test_cf_gaps_equals_cf_gap_at_each_t(fs, ts):
     assert cf_gaps(fs, c, ts, batch) == [cf_gap(fs, c, t, batch) for t in ts]
 
 
+def _cf_gaps_full_arrays(fs, c, ts, batch):
+    """cf_gaps as one complex exp and two variances over the whole batch per t."""
+    values = [evaluate(f, batch) for f in fs]
+    out = []
+    for t in ts:
+        s = sum(ti * v for ti, v in zip(t, values))
+        z = np.exp(1j * s)
+        exact = np.exp(-0.5 * float(np.asarray(t) @ c @ np.asarray(t)))
+        out.append((abs(z.mean() - exact),
+                    math.sqrt((z.real.var() + z.imag.var()) / batch.n_samples)))
+    return out
+
+
+@pytest.mark.parametrize("n", [1, 17, CHUNK, 2 * CHUNK + 17])
+@pytest.mark.parametrize("fs, ts", [
+    ((spread(hermite(), 2, 3),), [[0.0], [0.25], [0.5], [-0.5], [1.0], [2.0], [0.5],
+                                  [-1.25]]),
+    ((spread(laguerre(0.5), 2, 2),), [[0.25], [0.0], [-2.0], [0.25], [1.0], [-1.0]]),
+    ((spread(jacobi(2.0, 3.0), 2, 2),), [[1.0], [-0.5], [0.0], [-0.5], [2.0]]),
+    (pair_mixed(2, 2, 0.5, 4), [[0.0, 1.0], [0.5, 0.0], [1.0, 1.0], [-0.5, 0.5],
+                                [0.0, 0.0], [2.0, -2.0], [1.0, 1.0], [-0.25, 0.5],
+                                [0.5, 1.0], [1.0, 2.0], [-1.0, 0.25]]),
+], ids=["hermite", "laguerre", "jacobi", "pair"])
+def test_cf_gaps_matches_full_array_reference(fs, ts, n, monkeypatch):
+    """The chunked product of per-component factors (squared where a frequency
+    is twice another), with the |z| = 1 stderr identity, agrees with the
+    full-array exp(1j*s) to 1e-14 for any worker count."""
+    c = np.array([[inner(f, g) for g in fs] for f in fs])
+    batch = sample(fs[0].space, n, seed=12)
+    ref = _cf_gaps_full_arrays(fs, c, ts, batch)
+    results = []
+    for workers in (1, 2):
+        monkeypatch.setattr(montecarlo, "_WORKERS", workers)
+        results.append(cf_gaps(fs, c, ts, batch))
+    assert results[0] == results[1]
+    for t, (gap, stderr), (ref_gap, ref_stderr) in zip(ts, results[0], ref):
+        assert abs(gap - ref_gap) <= 1e-14, (t, gap, ref_gap)
+        assert abs(stderr - ref_stderr) <= 1e-14, (t, stderr, ref_stderr)
+
+
 def test_bound_check_evaluates_each_component_once(tmp_path, monkeypatch):
     obj = {**json.loads(BOUND_CHECK.read_text()), "n_samples": 500}
     cfg = experiments.parse_config(obj, out_override=str(tmp_path))
