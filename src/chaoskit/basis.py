@@ -20,13 +20,16 @@ orthonormality and of L Q_p = -lambda_p Q_p, which refuses bases that fail.
 hands every later caller the same Basis, so its recurrence and eigenvalue
 arrays are read-only and its linearization cache is shared.  The memo keeps
 at most BASIS_CACHE_SIZE bases, dropping the least recently used; refused
-constructions are not remembered and raise again on every call.
+constructions are not remembered and raise again on every call.  Each
+basis keeps at most LIN_CACHE_SIZE linearizations, dropping the oldest, so a
+memoized basis holds a few MB at most (an entry has at most 513 doubles).
 """
 
 from __future__ import annotations
 
 import functools
 import math
+from collections import OrderedDict
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -35,6 +38,7 @@ HARD_DEGREE_CAP = 512
 EPS_ORTH = 1e-9
 EPS_EIG = 1e-9
 BASIS_CACHE_SIZE = 256
+LIN_CACHE_SIZE = 1024
 
 _FAMILIES = ("hermite", "laguerre", "jacobi")
 
@@ -150,7 +154,7 @@ class Basis:
     rec_a: np.ndarray
     rec_b: np.ndarray
     eigenvalues: np.ndarray
-    _lin_cache: dict = field(default_factory=dict, repr=False)
+    _lin_cache: OrderedDict = field(default_factory=OrderedDict, repr=False)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Basis):
@@ -223,6 +227,8 @@ class Basis:
             nxt[:-1] += b[1:] * cur[1:]
             prev, cur = cur, nxt / b[j + 1]
         cur.setflags(write=False)
+        if len(self._lin_cache) >= LIN_CACHE_SIZE:
+            self._lin_cache.popitem(last=False)
         self._lin_cache[(lo, hi)] = cur
         return cur
 

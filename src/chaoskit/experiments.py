@@ -21,7 +21,7 @@ from . import moments, montecarlo, sequences, spectral, wiener
 from .basis import BasisKind, hermite, make_basis
 from .moments import CSV_COLUMNS, GaussianTarget
 from .sequences import SequenceSpec
-from .spectral import CHAOS_TOL, SpectralFn, product_space
+from .spectral import CHAOS_TOL, ProductSpace, SpectralFn, product_space
 
 EXPERIMENTS = (
     "chaos-check",
@@ -399,14 +399,32 @@ def t_grid(axis: tuple[float, ...], dim: int, t_max: float) -> list[np.ndarray]:
     return [t for t in grids if float(np.linalg.norm(t)) <= t_max]
 
 
+def _kind_batches(vectors, n: int, seed: int) -> dict[BasisKind, montecarlo.SampleBatch]:
+    """One batch per basis kind of the test vectors (each lives on one kind),
+    over the widest space of that kind, holding every evaluation row the
+    vectors use.  A column's draws depend only on (seed, chunk, column, kind),
+    so each distinct column is drawn and evaluated once, and each vector sees
+    the values a batch of its own space would give."""
+    groups: dict[BasisKind, list[SpectralFn]] = {}
+    for fs in vectors:
+        groups.setdefault(fs[0].space.coords[0].kind, []).extend(fs)
+    batches = {}
+    for kind, fns in groups.items():
+        basis = max((f.space.coords[0] for f in fns), key=lambda b: b.max_degree)
+        space = ProductSpace((basis,) * max(f.space.dim for f in fns))
+        batches[kind] = montecarlo.tabulate(montecarlo.sample(space, n, seed), fns)
+    return batches
+
+
 def _run_bound_check(cfg: ExperimentConfig):
     columns = ["vector", "t", "t_norm", "gap", "stderr", "prop31", "rhs", "pass"]
     rows: list[list] = []
     failures: list[str] = []
-    for v in cfg.vectors:
-        fs, target, name = build_test_vector(v)
+    vectors = [build_test_vector(v) for v in cfg.vectors]
+    batches = _kind_batches([fs for fs, _, _ in vectors], cfg.n_samples, cfg.seed)
+    for fs, target, name in vectors:
         bound = moments.prop31_bound(fs, target)
-        batch = montecarlo.sample(fs[0].space, cfg.n_samples, cfg.seed)
+        batch = batches[fs[0].space.coords[0].kind]
         ts = t_grid(cfg.t_axis, len(fs), cfg.t_max)
         for t, (gap, stderr) in zip(ts, montecarlo.cf_gaps(fs, target, ts, batch)):
             tn = float(np.linalg.norm(t))

@@ -8,9 +8,18 @@ basis measure: N(0,1) for Hermite, Gamma(alpha+1, 1) for Laguerre, and the
 [-1,1]-mapped Beta(b, a) for Jacobi(a, b).  The matrix is column-major, so
 each coordinate's column is contiguous to write and to read.
 
-Cost model of the characteristic-function check: `cf_gaps` evaluates each
-component once per batch (recurrence tables from `Basis.eval_all`, then one
-pass over the support).  The phase step uses e^{i<t,F>} = prod_k e^{i t_k F_k}.
+Cost model of the characteristic-function check.  A column's draws depend
+only on (seed, chunk, column, kind), and `eval_all` is a forward recurrence
+whose rows do not depend on the degree it stops at (nor on the basis's
+max_degree: the recurrence tables agree on their common prefix), so a batch
+over the widest space of a kind serves every function on that kind.  The
+bound-check runner samples one such batch per kind and `tabulate`s it for
+all of its vectors: each distinct column is drawn once and gets one
+recurrence table, each (column, degree) row is kept once, and the points are
+dropped once the rows exist.  On `configs/bound_check.json` that is 16 drawn
+columns and 16 tables, where a batch per vector drew 37 and built 42.
+`cf_gaps` evaluates each component once per batch, one pass over its support
+on those rows.  The phase step uses e^{i<t,F>} = prod_k e^{i t_k F_k}.
 Per component and distinct nonzero frequency w among the t_k it builds one
 factor e^{iwF_k}: the square of the factor for w/2 when w/2 is also among
 them, else one `cos`/`sin` pair written into the real and imaginary parts of
@@ -27,21 +36,24 @@ two variances over the whole batch, the squares, the factor products, the
 chunked sums and this identity move gaps and standard errors by a few units
 in the last place.
 
-Parallelism: the sample columns, the per-coordinate evaluation tables and
-the phase step's chunk tasks (CHUNK sample rows each, all frequencies) are
-independent numpy work that releases the interpreter lock, so `_map` runs
-them on one module-level thread pool, built on first use with one worker per
-usable core (the process's CPU affinity), at most MAX_WORKERS.  With one
-usable core it is a plain map.  Each task sums in a fixed order, results are
-placed by position and the chunk sums are added in chunk order, so every
-value, and every report byte, is the same whatever the worker count.
+Parallelism: the sample columns and the phase step's chunk tasks (CHUNK
+sample rows each, all frequencies) are independent numpy work that releases
+the interpreter lock, so `_map` runs them on one module-level thread pool,
+built on first use with one worker per usable core (the process's CPU
+affinity), at most MAX_WORKERS.  With one usable core it is a plain map.
+Each task sums in a fixed order, results are placed by position and the
+chunk sums are added in chunk order, so every value, and every report byte,
+is the same whatever the worker count.  Evaluation tables are built one
+column at a time in the calling thread: each holds a (degree + 1) x batch
+recurrence block, and building two at once on pool threads raised the
+benchmark's mc-bound peak RSS by about 8 MB to save about 5 % of a request.
 """
 
 from __future__ import annotations
 
 import os
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -49,9 +61,8 @@ from .moments import GaussianTarget
 from .spectral import ProductSpace, SpectralFn
 
 CHUNK = 8192
-# A worker building an evaluation table holds a (degree + 1) x batch
-# recurrence block; phase tasks hold only chunk-sized factors.  The cap bounds
-# peak memory on many-core hosts.
+# Sample tasks write into the shared matrix and phase tasks hold only
+# chunk-sized factors; the cap bounds peak memory on many-core hosts.
 MAX_WORKERS = 4
 
 
@@ -86,12 +97,17 @@ def _map(fn, items) -> list:
 
 @dataclass(frozen=True, eq=False)
 class SampleBatch:
-    """n_samples x dim matrix of i.i.d. draws from mu, tied to its space."""
+    """n_samples x dim matrix of i.i.d. draws from mu, tied to its space.
+
+    A batch from `tabulate` holds evaluation rows Q_deg(column), keyed by
+    (column, degree), in place of its points (None).
+    """
 
     space: ProductSpace
     n_samples: int
     seed: int
-    points: np.ndarray
+    points: np.ndarray | None
+    _rows: dict = field(default_factory=dict, repr=False)
 
 
 def _stream(seed: int, chunk_index: int, coord: int) -> np.random.Generator:
@@ -125,48 +141,64 @@ def sample(space: ProductSpace, n: int, seed: int) -> SampleBatch:
     return SampleBatch(space, n, seed, points)
 
 
+def _covers(batch: SampleBatch, space: ProductSpace) -> bool:
+    """Whether the batch's leading columns are draws for the space's
+    coordinates, with bases that reach their degrees."""
+    return space.dim <= batch.space.dim and all(
+        b.kind == c.kind and b.max_degree >= c.max_degree
+        for b, c in zip(batch.space.coords, space.coords))
+
+
+def _rows_for(batch: SampleBatch, fs) -> dict[tuple[int, int], np.ndarray]:
+    """(column, degree) -> Q_degree at that column, for every row the
+    functions use: the batch's own rows where it holds them, the others from
+    one `eval_all` per column, to that column's highest missing degree."""
+    need = set()
+    for f in fs:
+        if not _covers(batch, f.space):
+            raise ValueError("the batch does not cover the function's space")
+        need.update((j, deg) for alpha in f.support() for j, deg in enumerate(alpha) if deg)
+    rows = {key: batch._rows[key] for key in need if key in batch._rows}
+    missing: dict[int, set[int]] = {}
+    for j, deg in need - rows.keys():
+        missing.setdefault(j, set()).add(deg)
+    if missing and batch.points is None:
+        raise ValueError("the batch holds neither points nor the rows the function uses")
+
+    def table(j: int) -> dict[tuple[int, int], np.ndarray]:
+        # only the missing rows outlive the recurrence block
+        full = batch.space.coords[j].eval_all(batch.points[:, j], deg=max(missing[j]))
+        return {(j, deg): full[deg].copy() for deg in missing[j]}
+
+    for j in missing:
+        rows.update(table(j))
+    return rows
+
+
+def tabulate(batch: SampleBatch, fs) -> SampleBatch:
+    """The batch with its points replaced by the evaluation rows the functions
+    use, computed once each: every function of fs, and every function whose
+    rows are among them, evaluates on the result bit for bit as on the batch.
+    Once the caller drops the batch, only the rows stay in memory."""
+    rows = _rows_for(batch, fs)
+    for row in rows.values():
+        row.setflags(write=False)
+    return SampleBatch(batch.space, batch.n_samples, batch.seed, None, _rows=rows)
+
+
 def evaluate(f: SpectralFn, batch: SampleBatch) -> np.ndarray:
-    """Pointwise values of F at the batch rows, via recurrence evaluation."""
-    if f.space != batch.space:
-        raise ValueError("function and batch live on different spaces")
-    rows: list[set[int]] = [set() for _ in range(f.space.dim)]
-    for alpha in f.support():
-        for j, deg in enumerate(alpha):
-            if deg:
-                rows[j].add(deg)
+    """Pointwise values of F at the batch rows, via recurrence evaluation.
 
-    def table(j: int) -> dict[int, np.ndarray]:
-        # only the rows the support uses outlive the recurrence block
-        full = f.space.coords[j].eval_all(batch.points[:, j], deg=max(rows[j]))
-        return {deg: full[deg].copy() for deg in rows[j]}
-
-    used = [j for j in range(f.space.dim) if rows[j]]
-    tables = dict(zip(used, _map(table, used)))
+    The batch may be wider than F's space: its leading columns must have F's
+    basis kinds and degree range."""
+    rows = _rows_for(batch, [f])
     out = np.zeros(batch.n_samples)
     for alpha, v in f.items_sorted():
         term = np.full(batch.n_samples, v)
         for j, deg in enumerate(alpha):
             if deg:
-                term = term * tables[j][deg]
+                term = term * rows[j, deg]
         out += term
-    return out
-
-
-def ks_pvalues(batch: SampleBatch) -> list[float]:
-    """Kolmogorov-Smirnov p-value of each coordinate against its basis measure."""
-    from scipy import stats  # deferred: it would dominate `import chaoskit`
-
-    out = []
-    for j, basis in enumerate(batch.space.coords):
-        kind = basis.kind
-        if kind.family == "hermite":
-            dist = stats.norm()
-        elif kind.family == "laguerre":
-            dist = stats.gamma(kind.params[0] + 1.0)
-        else:
-            a, b = kind.params
-            dist = stats.beta(b, a, loc=-1.0, scale=2.0)
-        out.append(float(stats.kstest(batch.points[:, j], dist.cdf).pvalue))
     return out
 
 

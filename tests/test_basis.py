@@ -7,14 +7,18 @@ import pytest
 import sympy as sp
 
 from chaoskit import (
+    ProductSpace,
+    SpectralFn,
     gauss_quadrature,
     hermite,
     jacobi,
     laguerre,
     make_basis,
+    multiply,
     product_space,
 )
-from chaoskit.basis import BASIS_CACHE_SIZE, HARD_DEGREE_CAP
+from chaoskit import basis as basis_mod
+from chaoskit.basis import BASIS_CACHE_SIZE, HARD_DEGREE_CAP, LIN_CACHE_SIZE, Basis
 
 import oracles
 from oracles import X
@@ -256,6 +260,40 @@ def test_linearization_cache_returns_consistent_values():
     first = basis.linearize(2, 3)
     second = basis.linearize(3, 2)
     assert first is second or np.array_equal(first, second)
+
+
+def _square_of_sum(basis, top):
+    space = ProductSpace((basis,))
+    f = SpectralFn(space, {(k,): 1.0 for k in range(1, top + 1)})
+    return multiply(f, f)
+
+
+def test_linearization_cache_is_bounded():
+    """Squaring sum_{k<=128} Q_k at max_degree 256 linearizes 8256 pairs, and
+    the shared basis keeps at most LIN_CACHE_SIZE of them."""
+    basis = make_basis(hermite(), 256)
+    _square_of_sum(basis, 128)
+    assert 0 < len(basis._lin_cache) <= LIN_CACHE_SIZE < 128 * 129 // 2
+
+
+@pytest.mark.parametrize("kind", [hermite(), laguerre(0.5), jacobi(2.0, 3.0)],
+                         ids=lambda k: k.label())
+def test_linearization_cache_eviction_keeps_values(kind, monkeypatch):
+    """With a cap far below the pairs a square needs, the product and every
+    evicted pair come out bit for bit as with an unbounded cache."""
+    def fresh():
+        b = make_basis(kind, 24)
+        return Basis(kind, 24, b.rec_a, b.rec_b, b.eigenvalues)
+
+    unbounded = fresh()
+    expected = _square_of_sum(unbounded, 12)
+    monkeypatch.setattr(basis_mod, "LIN_CACHE_SIZE", 8)
+    capped = fresh()
+    for _ in range(2):
+        assert _square_of_sum(capped, 12).coeffs == expected.coeffs
+        assert len(capped._lin_cache) == 8
+    for m, n in ((1, 1), (2, 7), (12, 12)):
+        assert capped.linearize(m, n).tobytes() == unbounded.linearize(m, n).tobytes()
 
 
 # -- linearization accuracy contract over the whole degree range --------------

@@ -21,7 +21,6 @@ from chaoskit import (
     hermite,
     inner,
     jacobi,
-    ks_pvalues,
     laguerre,
     make_basis,
     mixed22,
@@ -32,7 +31,8 @@ from chaoskit import (
     sample,
     spread,
 )
-from chaoskit.montecarlo import CHUNK
+from chaoskit.basis import Basis
+from chaoskit.montecarlo import CHUNK, tabulate
 
 BOUND_CHECK = Path(__file__).parent.parent / "configs" / "bound_check.json"
 
@@ -79,6 +79,24 @@ def test_sample_mean_envelopes():
     space = product_space(laguerre(0.0), 4, 1)
     batch = sample(space, n, seed=2)
     assert abs(batch.points.mean() - 1.0) <= 3.0 / math.sqrt(n)
+
+
+def ks_pvalues(batch) -> list[float]:
+    """Kolmogorov-Smirnov p-value of each coordinate against its basis measure."""
+    from scipy import stats
+
+    out = []
+    for j, basis in enumerate(batch.space.coords):
+        kind = basis.kind
+        if kind.family == "hermite":
+            dist = stats.norm()
+        elif kind.family == "laguerre":
+            dist = stats.gamma(kind.params[0] + 1.0)
+        else:
+            a, b = kind.params
+            dist = stats.beta(b, a, loc=-1.0, scale=2.0)
+        out.append(float(stats.kstest(batch.points[:, j], dist.cdf).pvalue))
+    return out
 
 
 def test_ks_diagnostics_gate():
@@ -271,6 +289,105 @@ def test_bound_check_evaluates_each_component_once(tmp_path, monkeypatch):
     experiments.run(cfg)
     components = sum(len(experiments.build_test_vector(v)[0]) for v in cfg.vectors)
     assert len(calls) == components == 10
+
+
+def test_tabulated_batch_evaluates_as_its_batch():
+    """A tabulated batch holds the rows of the functions it was given in place
+    of its points; they, and narrower functions on the same columns, evaluate
+    on it bit for bit as on a batch of their own space."""
+    space = product_space(hermite(), 6, 3)
+    fs = [spread(hermite(), 3, 3), space.basis_fn((1, 0, 2), coeff=0.5)]
+    batch = sample(space, 1000, seed=13)
+    tab = tabulate(batch, fs)
+    assert tab.points is None and set(tab._rows) == {(0, 1), (0, 3), (1, 3), (2, 2), (2, 3)}
+    for f in fs:
+        assert evaluate(f, tab).tobytes() == evaluate(f, batch).tobytes()
+    narrow = spread(hermite(), 3, 2)
+    assert narrow.space.dim == 2 and narrow.space.coords[0].max_degree == 6
+    assert (evaluate(narrow, tab).tobytes()
+            == evaluate(narrow, sample(narrow.space, 1000, seed=13)).tobytes())
+    with pytest.raises(ValueError, match="neither points nor"):
+        evaluate(space.basis_fn((0, 2, 0)), tab)
+    for other in (spread(laguerre(0.5), 1, 1), spread(hermite(), 1, 4),
+                  spread(hermite(), 4, 1)):  # kind, width, degree range
+        with pytest.raises(ValueError, match="does not cover"):
+            evaluate(other, batch)
+
+
+@pytest.mark.parametrize("kind", [hermite(), laguerre(0.0), laguerre(0.5),
+                                  jacobi(2.0, 3.0), jacobi(0.05, 5.0)],
+                         ids=lambda k: k.label())
+def test_recurrence_prefix_does_not_depend_on_max_degree(kind):
+    """A shared batch evaluates each column with the basis of the widest space;
+    its rows equal those of a narrower basis because the recurrence tables
+    agree bit for bit on their common prefix."""
+    a64, b64 = kind.recurrence(64)
+    for d in (1, 2, 4, 8, 63):
+        a, b = kind.recurrence(d)
+        assert a.tobytes() == a64[:d + 1].tobytes() and b.tobytes() == b64[:d + 1].tobytes()
+
+
+# Laguerre(1/2) and Jacobi(2,3) eigenfunctions, placed between the Hermite
+# vectors so that the runner's per-kind batches interleave.
+_EXTRA_VECTORS = [
+    {"name": f"{label}-Q{p}", "type": "eigenfunction", "kind": kind, "degree": p}
+    for label, kind in (("laguerre", {"kind": "laguerre", "params": [0.5]}),
+                        ("jacobi", {"kind": "jacobi", "params": [2.0, 3.0]}))
+    for p in (1, 2)
+]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("n", [1, 2 * CHUNK + 17])
+def test_bound_check_matches_a_batch_per_vector(n, workers, tmp_path, monkeypatch):
+    """The runner's shared batches give every vector, bit for bit, the gap and
+    stderr of a batch sampled on its own space with the run's seed."""
+    obj = json.loads(BOUND_CHECK.read_text())
+    hermite_vectors = obj["vectors"]
+    obj.update(n_samples=n, vectors=[
+        _EXTRA_VECTORS[0], *hermite_vectors[:3], *_EXTRA_VECTORS[1:3],
+        *hermite_vectors[3:], _EXTRA_VECTORS[3]])
+    cfg = experiments.parse_config(obj, out_override=str(tmp_path))
+    monkeypatch.setattr(montecarlo, "_WORKERS", workers)
+    columns, rows, _, _ = experiments._run_bound_check(cfg)
+    expected = []
+    for v in cfg.vectors:
+        fs, target, name = experiments.build_test_vector(v)
+        ts = experiments.t_grid(cfg.t_axis, len(fs), cfg.t_max)
+        gaps = cf_gaps(fs, target, ts, sample(fs[0].space, n, cfg.seed))
+        expected += [(name, gap, stderr) for gap, stderr in gaps]
+    at = [columns.index(c) for c in ("vector", "gap", "stderr")]
+    assert [tuple(row[i] for i in at) for row in rows] == expected
+
+
+def test_bound_check_draws_and_tabulates_each_column_once(tmp_path, monkeypatch):
+    """On configs/bound_check.json (37 columns over six Hermite vectors, 16
+    distinct) each column is drawn once and gets one recurrence table."""
+    obj = {**json.loads(BOUND_CHECK.read_text()), "n_samples": 500}
+    cfg = experiments.parse_config(obj, out_override=str(tmp_path))
+    streams, draws, tables = [], [], []
+    plain_stream, plain_draw, plain_eval_all = (
+        montecarlo._stream, montecarlo._draw, Basis.eval_all)
+
+    def stream(seed, chunk_index, coord):
+        streams.append((chunk_index, coord))
+        return plain_stream(seed, chunk_index, coord)
+
+    def draw(kind, gen, size):
+        draws.append(kind)
+        return plain_draw(kind, gen, size)
+
+    def eval_all(self, x, deg=None):
+        tables.append(self.kind)
+        return plain_eval_all(self, x, deg)
+
+    monkeypatch.setattr(montecarlo, "_stream", stream)
+    monkeypatch.setattr(montecarlo, "_draw", draw)
+    monkeypatch.setattr(Basis, "eval_all", eval_all)
+    experiments.run(cfg)
+    keys = {(kind, coord, chunk) for kind, (chunk, coord) in zip(draws, streams)}
+    assert len(draws) == len(streams) == len(keys) == 16
+    assert len(tables) == 16
 
 
 def _import_leaves_unloaded(module: str) -> None:
