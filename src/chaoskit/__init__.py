@@ -32,7 +32,7 @@ from .moments import (
     thm33_sides,
     var_gamma,
 )
-from .montecarlo import SampleBatch, cf_gap, cf_gaps, evaluate, sample
+from .montecarlo import SampleBatch, cf_gap, cf_gaps, evaluate, sample, sampled_cf_gaps
 from .sequences import SequenceSpec, pair_mixed, spread
 from .spectral import (
     ChaosCheck,
@@ -72,6 +72,6 @@ __all__ = [
     "SymTensor", "symmetrize", "contract", "multiple_integral",
     "product_formula_check",
     "SequenceSpec", "spread", "pair_mixed",
-    "SampleBatch", "sample", "evaluate", "cf_gap", "cf_gaps",
+    "SampleBatch", "sample", "evaluate", "cf_gap", "cf_gaps", "sampled_cf_gaps",
     "__version__",
 ]

@@ -167,19 +167,24 @@ class Basis:
     def eigenvalue(self, p: int) -> float:
         return float(self.eigenvalues[p])
 
-    def eval_all(self, x: np.ndarray, deg: int | None = None) -> np.ndarray:
-        """Values of Q_0..Q_deg at the points x, shape (deg+1, len(x))."""
+    def eval_all(self, x: np.ndarray, deg: int | None = None,
+                 out: np.ndarray | None = None) -> np.ndarray:
+        """Values of Q_0..Q_deg at the points x, shape (deg+1, len(x)),
+        written into `out` (a float array of that shape) when given."""
         x = np.atleast_1d(np.asarray(x, dtype=float))
         deg = self.max_degree if deg is None else deg
         if deg > self.max_degree:
             raise ValueError(f"degree {deg} exceeds max_degree {self.max_degree}")
         a, b = self.rec_a, self.rec_b
-        out = np.empty((deg + 1, x.size))
+        if out is None:
+            out = np.empty((deg + 1, x.size))
+        elif out.shape != (deg + 1, x.size) or out.dtype != np.float64:
+            raise ValueError(f"out must be a float array of shape {(deg + 1, x.size)}")
         out[0] = 1.0
         if deg >= 1:
-            out[1] = (x - a[0]) / b[1]
+            np.divide(x - a[0], b[1], out=out[1])
         for k in range(1, deg):
-            out[k + 1] = ((x - a[k]) * out[k] - b[k] * out[k - 1]) / b[k + 1]
+            np.divide((x - a[k]) * out[k] - b[k] * out[k - 1], b[k + 1], out=out[k + 1])
         return out
 
     def eval_with_derivatives(self, x: np.ndarray, deg: int | None = None,

@@ -21,7 +21,7 @@ from . import moments, montecarlo, sequences, spectral, wiener
 from .basis import BasisKind, hermite, make_basis
 from .moments import CSV_COLUMNS, GaussianTarget
 from .sequences import SequenceSpec
-from .spectral import CHAOS_TOL, ProductSpace, SpectralFn, product_space
+from .spectral import CHAOS_TOL, SpectralFn, product_space
 
 EXPERIMENTS = (
     "chaos-check",
@@ -180,6 +180,11 @@ def parse_config(obj: dict, seed_override: int | None = None,
             max_coords = _convert("m_max", obj.get("m_max", 4), int)
         if max_coords < 1 or max_degree < 1:
             raise ConfigError("dimension and degree limits must be >= 1")
+        if experiment == "product-formula-check":
+            try:
+                wiener.check_product_formula_size(max_degree, max_coords)
+            except ValueError as exc:
+                raise ConfigError(f"p_max {max_degree} with m_max {max_coords}: {exc}") from exc
         # Build (memoized) the largest basis of each family the run draws from;
         # product-formula-check puts I_p on Hermite coordinates of degree 2p.
         bases = ([(kind, max_degree) for kind in families] if experiment == "thm33-check"
@@ -399,34 +404,18 @@ def t_grid(axis: tuple[float, ...], dim: int, t_max: float) -> list[np.ndarray]:
     return [t for t in grids if float(np.linalg.norm(t)) <= t_max]
 
 
-def _kind_batches(vectors, n: int, seed: int) -> dict[BasisKind, montecarlo.SampleBatch]:
-    """One batch per basis kind of the test vectors (each lives on one kind),
-    over the widest space of that kind, holding every evaluation row the
-    vectors use.  A column's draws depend only on (seed, chunk, column, kind),
-    so each distinct column is drawn and evaluated once, and each vector sees
-    the values a batch of its own space would give."""
-    groups: dict[BasisKind, list[SpectralFn]] = {}
-    for fs in vectors:
-        groups.setdefault(fs[0].space.coords[0].kind, []).extend(fs)
-    batches = {}
-    for kind, fns in groups.items():
-        basis = max((f.space.coords[0] for f in fns), key=lambda b: b.max_degree)
-        space = ProductSpace((basis,) * max(f.space.dim for f in fns))
-        batches[kind] = montecarlo.tabulate(montecarlo.sample(space, n, seed), fns)
-    return batches
-
-
 def _run_bound_check(cfg: ExperimentConfig):
     columns = ["vector", "t", "t_norm", "gap", "stderr", "prop31", "rhs", "pass"]
     rows: list[list] = []
     failures: list[str] = []
     vectors = [build_test_vector(v) for v in cfg.vectors]
-    batches = _kind_batches([fs for fs, _, _ in vectors], cfg.n_samples, cfg.seed)
-    for fs, target, name in vectors:
+    grids = [t_grid(cfg.t_axis, len(fs), cfg.t_max) for fs, _, _ in vectors]
+    gaps = montecarlo.sampled_cf_gaps(
+        [(fs, target, ts) for (fs, target, _), ts in zip(vectors, grids)],
+        cfg.n_samples, cfg.seed)
+    for (fs, target, name), ts, vector_gaps in zip(vectors, grids, gaps):
         bound = moments.prop31_bound(fs, target)
-        batch = batches[fs[0].space.coords[0].kind]
-        ts = t_grid(cfg.t_axis, len(fs), cfg.t_max)
-        for t, (gap, stderr) in zip(ts, montecarlo.cf_gaps(fs, target, ts, batch)):
+        for t, (gap, stderr) in zip(ts, vector_gaps):
             tn = float(np.linalg.norm(t))
             rhs = tn * tn * bound + 3.0 * stderr
             ok = gap <= rhs

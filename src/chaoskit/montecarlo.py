@@ -1,59 +1,49 @@
 """Sampling from the invariant measures and empirical characteristic functions.
 
 Streams are counter-based (Philox): each (chunk, coordinate) pair owns a
-disjoint counter range derived from the master seed, so batches are
-bit-reproducible for a fixed seed no matter how chunks are scheduled, and the
-reduction into the sample matrix is by position.  Coordinates follow their
-basis measure: N(0,1) for Hermite, Gamma(alpha+1, 1) for Laguerre, and the
-[-1,1]-mapped Beta(b, a) for Jacobi(a, b).  The matrix is column-major, so
-each coordinate's column is contiguous to write and to read.
+disjoint counter range derived from the master seed, so a column's draws
+depend only on (seed, chunk, column, kind), however chunks are scheduled.
+Coordinates follow their basis measure: N(0,1) for Hermite, Gamma(alpha+1, 1)
+for Laguerre, and the [-1,1]-mapped Beta(b, a) for Jacobi(a, b).  `sample`
+writes them into a column-major batch.
 
-Cost model of the characteristic-function check.  A column's draws depend
-only on (seed, chunk, column, kind), and `eval_all` is a forward recurrence
-whose rows do not depend on the degree it stops at (nor on the basis's
-max_degree: the recurrence tables agree on their common prefix), so a batch
-over the widest space of a kind serves every function on that kind.  The
-bound-check runner samples one such batch per kind and `tabulate`s it for
-all of its vectors: each distinct column is drawn once and gets one
-recurrence table, each (column, degree) row is kept once, and the points are
-dropped once the rows exist.  On `configs/bound_check.json` that is 16 drawn
-columns and 16 tables, where a batch per vector drew 37 and built 42.
-`cf_gaps` evaluates each component once per batch, one pass over its support
-on those rows.  The phase step uses e^{i<t,F>} = prod_k e^{i t_k F_k}.
-Per component and distinct nonzero frequency w among the t_k it builds one
-factor e^{iwF_k}: the square of the factor for w/2 when w/2 is also among
-them, else one `cos`/`sin` pair written into the real and imaginary parts of
-a complex buffer (with numpy 2.4 on x86-64, bit for bit `exp(1j * w * F_k)`).
-Per t it takes one product of factors and one sum.  On the default axis
-(0.25, 0.5, 1, 2) every frequency but the smallest is a square, so
-`configs/bound_check.json` needs 10 cos/sin pairs and 30 complex squares for
-its 72 t, where one complex `exp` per t over the batch cost 72.  Nothing
-batch-sized is complex: each chunk task holds CHUNK-row factors.
-
+Cost model of the characteristic-function check.  It streams CHUNK rows at a
+time.  Per chunk it draws each column some component uses, with the call
+`sample` makes, and runs one `eval_all` recurrence per column, keeping the
+rows of the used degrees.  Those rows depend neither on where the recurrence
+stops nor on the basis's max_degree (the tables agree on their common
+prefix), so functions on different spaces share them.  Each distinct
+component (same terms on columns of the same kinds: pair_mixed vectors at
+equal n share F_1 whatever rho) is evaluated once, and the phases reduce to
+one sum per t.  Memory grows with CHUNK times the rows used, not with the
+sample count.  The phase step uses e^{i<t,F>} = prod_k e^{i t_k F_k}: per
+component and distinct nonzero frequency w it builds one factor e^{iwF_k},
+the square of the factor for w/2 when w/2 is also there, else one `cos`/`sin`
+pair written into a complex buffer (with numpy 2.4 on x86-64, bit for bit
+`exp(1j * w * F_k)`); per t it takes one product of factors and one sum.
 Since |z| = 1, var(Re z) + var(Im z) = 1 - |mean z|^2, so the standard error
-needs no second pass over z.  Against one complex `exp` of sum_k t_k F_k and
-two variances over the whole batch, the squares, the factor products, the
-chunked sums and this identity move gaps and standard errors by a few units
-in the last place.
+needs no second pass.  Against one complex `exp` and two variances over the
+whole batch, this moves gaps and standard errors by a few units in the last
+place.
 
-Parallelism: the sample columns and the phase step's chunk tasks (CHUNK
-sample rows each, all frequencies) are independent numpy work that releases
-the interpreter lock, so `_map` runs them on one module-level thread pool,
-built on first use with one worker per usable core (the process's CPU
-affinity), at most MAX_WORKERS.  With one usable core it is a plain map.
-Each task sums in a fixed order, results are placed by position and the
-chunk sums are added in chunk order, so every value, and every report byte,
-is the same whatever the worker count.  Evaluation tables are built one
-column at a time in the calling thread: each holds a (degree + 1) x batch
-recurrence block, and building two at once on pool threads raised the
-benchmark's mc-bound peak RSS by about 8 MB to save about 5 % of a request.
+Parallelism and workspace.  `_map` runs GIL-releasing numpy tasks on one
+module-level thread pool, built on first use with one worker per usable core
+(the process's CPU affinity), at most MAX_WORKERS; with one usable core it
+is a plain map.  The check gives each worker the chunks w, w + W, ... and one
+workspace for the request: a recurrence block, the used rows, the component
+values, the complex factors and one product buffer, all written in place
+with `out=`.  A complex chunk buffer is 8192 x 16 B = 128 KiB, glibc's
+default mmap threshold, and a recurrence block is larger, so buffers
+allocated per chunk would each be mapped and page-faulted afresh.  Nothing
+outlives the request.  Chunk sums are added in chunk order, so every value,
+and every report byte, is the same whatever the worker count.
 """
 
 from __future__ import annotations
 
 import os
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -61,8 +51,8 @@ from .moments import GaussianTarget
 from .spectral import ProductSpace, SpectralFn
 
 CHUNK = 8192
-# Sample tasks write into the shared matrix and phase tasks hold only
-# chunk-sized factors; the cap bounds peak memory on many-core hosts.
+# Each worker holds one chunk-sized workspace; the cap bounds peak memory on
+# many-core hosts.
 MAX_WORKERS = 4
 
 
@@ -97,17 +87,12 @@ def _map(fn, items) -> list:
 
 @dataclass(frozen=True, eq=False)
 class SampleBatch:
-    """n_samples x dim matrix of i.i.d. draws from mu, tied to its space.
-
-    A batch from `tabulate` holds evaluation rows Q_deg(column), keyed by
-    (column, degree), in place of its points (None).
-    """
+    """n_samples x dim matrix of i.i.d. draws from mu, tied to its space."""
 
     space: ProductSpace
     n_samples: int
     seed: int
-    points: np.ndarray | None
-    _rows: dict = field(default_factory=dict, repr=False)
+    points: np.ndarray
 
 
 def _stream(seed: int, chunk_index: int, coord: int) -> np.random.Generator:
@@ -141,49 +126,54 @@ def sample(space: ProductSpace, n: int, seed: int) -> SampleBatch:
     return SampleBatch(space, n, seed, points)
 
 
-def _covers(batch: SampleBatch, space: ProductSpace) -> bool:
-    """Whether the batch's leading columns are draws for the space's
-    coordinates, with bases that reach their degrees."""
-    return space.dim <= batch.space.dim and all(
-        b.kind == c.kind and b.max_degree >= c.max_degree
-        for b, c in zip(batch.space.coords, space.coords))
-
-
-def _rows_for(batch: SampleBatch, fs) -> dict[tuple[int, int], np.ndarray]:
-    """(column, degree) -> Q_degree at that column, for every row the
-    functions use: the batch's own rows where it holds them, the others from
-    one `eval_all` per column, to that column's highest missing degree."""
-    need = set()
+def _check_covers(batch: SampleBatch, fs) -> None:
+    """Refuse functions unless the batch's leading columns are draws for
+    their coordinates, with bases that reach their degrees."""
     for f in fs:
-        if not _covers(batch, f.space):
+        if f.space.dim > batch.space.dim or any(
+                b.kind != c.kind or b.max_degree < c.max_degree
+                for b, c in zip(batch.space.coords, f.space.coords)):
             raise ValueError("the batch does not cover the function's space")
-        need.update((j, deg) for alpha in f.support() for j, deg in enumerate(alpha) if deg)
-    rows = {key: batch._rows[key] for key in need if key in batch._rows}
-    missing: dict[int, set[int]] = {}
-    for j, deg in need - rows.keys():
-        missing.setdefault(j, set()).add(deg)
-    if missing and batch.points is None:
-        raise ValueError("the batch holds neither points nor the rows the function uses")
-
-    def table(j: int) -> dict[tuple[int, int], np.ndarray]:
-        # only the missing rows outlive the recurrence block
-        full = batch.space.coords[j].eval_all(batch.points[:, j], deg=max(missing[j]))
-        return {(j, deg): full[deg].copy() for deg in missing[j]}
-
-    for j in missing:
-        rows.update(table(j))
-    return rows
 
 
-def tabulate(batch: SampleBatch, fs) -> SampleBatch:
-    """The batch with its points replaced by the evaluation rows the functions
-    use, computed once each: every function of fs, and every function whose
-    rows are among them, evaluates on the result bit for bit as on the batch.
-    Once the caller drops the batch, only the rows stay in memory."""
-    rows = _rows_for(batch, fs)
-    for row in rows.values():
-        row.setflags(write=False)
-    return SampleBatch(batch.space, batch.n_samples, batch.seed, None, _rows=rows)
+def _layout(fns):
+    """(columns, comps, index) for evaluating the functions on shared rows.
+
+    columns has (column, basis, used degrees, first row) per (kind, column)
+    some function uses, with the widest basis seen there; the used degrees
+    take consecutive rows.  comps has each distinct component once, as its
+    terms (coefficient, row numbers) in `items_sorted` order, and fns[i] is
+    comps[index[i]]: functions with the same terms on columns of the same
+    kinds are one component, whatever their spaces."""
+    used: dict[tuple, list] = {}  # (kind, column) -> [basis, used degrees]
+    keys = []
+    for f in fns:
+        keys.append(tuple((v, tuple((f.space.coords[j].kind, j, deg)
+                                    for j, deg in enumerate(alpha) if deg))
+                          for alpha, v in f.items_sorted()))
+        for _, cols in keys[-1]:
+            for kind, j, deg in cols:
+                entry = used.setdefault((kind, j), [f.space.coords[j], set()])
+                entry[0] = max(entry[0], f.space.coords[j], key=lambda b: b.max_degree)
+                entry[1].add(deg)
+    columns, row = [], {}
+    for (kind, j), (basis, degs) in used.items():
+        columns.append((j, basis, sorted(degs), len(row)))
+        row.update({(kind, j, deg): len(row) + r for r, deg in enumerate(sorted(degs))})
+    position = {key: i for i, key in enumerate(dict.fromkeys(keys))}
+    comps = [[(v, tuple(row[col] for col in cols)) for v, cols in key] for key in position]
+    return columns, comps, [position[key] for key in keys]
+
+
+def _component(terms, rows: np.ndarray, out: np.ndarray, tmp: np.ndarray) -> None:
+    """out = sum of v * prod rows[r] over the terms, in term order, written
+    in place (tmp is scratch of out's length)."""
+    out.fill(0.0)
+    for v, term_rows in terms:
+        tmp.fill(v)
+        for r in term_rows:
+            np.multiply(tmp, rows[r], out=tmp)
+        out += tmp
 
 
 def evaluate(f: SpectralFn, batch: SampleBatch) -> np.ndarray:
@@ -191,14 +181,13 @@ def evaluate(f: SpectralFn, batch: SampleBatch) -> np.ndarray:
 
     The batch may be wider than F's space: its leading columns must have F's
     basis kinds and degree range."""
-    rows = _rows_for(batch, [f])
-    out = np.zeros(batch.n_samples)
-    for alpha, v in f.items_sorted():
-        term = np.full(batch.n_samples, v)
-        for j, deg in enumerate(alpha):
-            if deg:
-                term = term * rows[j, deg]
-        out += term
+    _check_covers(batch, [f])
+    columns, (terms,), _ = _layout([f])
+    rows = np.empty((sum(len(degs) for _, _, degs, _ in columns), batch.n_samples))
+    for j, basis, degs, first in columns:
+        rows[first:first + len(degs)] = basis.eval_all(batch.points[:, j], degs[-1])[degs]
+    out = np.empty(batch.n_samples)
+    _component(terms, rows, out, np.empty(batch.n_samples))
     return out
 
 
@@ -212,50 +201,118 @@ def cf_gap(fs, c: GaussianTarget | np.ndarray, t, batch: SampleBatch,
 def cf_gaps(fs, c: GaussianTarget | np.ndarray, ts, batch: SampleBatch,
             ) -> list[tuple[float, float]]:
     """`cf_gap` at every t of ts on one batch.  Each component with a nonzero
-    entry in some t is evaluated once; the gap at t is bit for bit the one
-    `cf_gap` gives alone."""
-    fs = tuple(fs)
-    c = c if isinstance(c, GaussianTarget) else GaussianTarget(np.asarray(c))
-    ts = [np.asarray(t, dtype=float) for t in ts]
-    for t in ts:
-        if t.shape != (len(fs),):
-            raise ValueError(f"t has shape {t.shape}, expected ({len(fs)},)")
-    if c.dim != len(fs):
-        raise ValueError("covariance dimension does not match component count")
-    freqs = [{float(t[k]) for t in ts if t[k] != 0.0} for k in range(len(fs))]
-    values = [evaluate(f, batch) if freqs[k] else None for k, f in enumerate(fs)]
-    n = batch.n_samples
+    entry in some t is evaluated once per chunk; the gap at t is bit for bit
+    the one `cf_gap` gives alone."""
+    _check_covers(batch, fs)
+    return _gaps([(fs, c, ts)], batch.n_samples,
+                 lambda chunk, kind, j, start, stop: batch.points[start:stop, j])[0]
 
-    def chunk_sums(start: int) -> np.ndarray:
-        rows = slice(start, min(start + CHUNK, n))
-        factor = {}
-        for k, ws in enumerate(freqs):
-            for w in sorted(ws, key=abs):
-                half = factor.get((k, w / 2))
-                if half is not None:  # e^{2iwF} = (e^{iwF})^2 costs no cos/sin
-                    factor[k, w] = half * half
-                    continue
-                phase = w * values[k][rows]
-                e = np.empty(phase.size, dtype=complex)
+
+def sampled_cf_gaps(vectors, n: int, seed: int) -> list[list[tuple[float, float]]]:
+    """`cf_gaps(fs, c, ts, sample(fs[0].space, n, seed))` for every (fs, c, ts)
+    of vectors, bit for bit, without a batch: each chunk of each column some
+    component uses is drawn as `sample` draws it, once for all the vectors,
+    and is dropped with its chunk."""
+    if n < 1:
+        raise ValueError("need at least one sample")
+    return _gaps(vectors, n, lambda chunk, kind, j, start, stop:
+                 _draw(kind, _stream(seed, chunk, j), stop - start))
+
+
+def _gaps(vectors, n: int, column) -> list[list[tuple[float, float]]]:
+    """The CF gaps of every (fs, c, ts) of vectors over n samples, where
+    column(chunk, kind, j, start, stop) gives rows start:stop of column j."""
+    plans, fns = [], []
+    for fs, c, ts in vectors:
+        fs = tuple(fs)
+        c = c if isinstance(c, GaussianTarget) else GaussianTarget(np.asarray(c))
+        ts = [np.asarray(t, dtype=float) for t in ts]
+        for t in ts:
+            if t.shape != (len(fs),):
+                raise ValueError(f"t has shape {t.shape}, expected ({len(fs)},)")
+        if c.dim != len(fs):
+            raise ValueError("covariance dimension does not match component count")
+        freqs = [sorted({float(t[k]) for t in ts if t[k] != 0.0}, key=abs)
+                 for k in range(len(fs))]
+        ks = [k for k in range(len(fs)) if freqs[k]]
+        plans.append((c, ts, [(k, len(fns) + i, freqs[k]) for i, k in enumerate(ks)]))
+        fns += [fs[k] for k in ks]
+    columns, comps, index = _layout(fns)
+    plans = [(c, ts, [(k, index[i], ws) for k, i, ws in parts]) for c, ts, parts in plans]
+    n_rows = sum(len(degs) for _, _, degs, _ in columns)
+    top = max((degs[-1] for _, _, degs, _ in columns), default=0)
+    n_factors = max((sum(len(ws) for *_, ws in p[2]) for p in plans), default=0)
+    n_chunks = -(-n // CHUNK)
+    stride = min(_WORKERS, n_chunks)
+    sizes = [top + 1, n_rows, len(comps), 1, 2 * n_factors, 2]  # in CHUNK-row units
+
+    def stripe(first: int) -> list[list[np.ndarray]]:
+        # One workspace per task, in one allocation, reused by each of its
+        # chunks: every buffer is written in place, so no chunk allocates a
+        # CHUNK-sized array.  glibc maps a block past its mmap threshold, and
+        # raises the threshold once it frees one, so later requests reuse
+        # heap pages instead of faulting a fresh mapping in.
+        table, rows, values, scratch, factors, product = np.split(
+            np.empty((sum(sizes), CHUNK)), np.cumsum(sizes)[:-1])
+        scratch = scratch[0]
+        factors = factors.reshape(n_factors, 2 * CHUNK).view(complex)
+        product = product.reshape(2 * CHUNK).view(complex)
+        out = []
+        for chunk in range(first, n_chunks, stride):
+            start = chunk * CHUNK
+            m = min(CHUNK, n - start)
+            for j, basis, degs, row in columns:
+                x = column(chunk, basis.kind, j, start, start + m)
+                block = basis.eval_all(x, degs[-1], out=table[:degs[-1] + 1, :m])
+                for r, deg in enumerate(degs, row):
+                    rows[r, :m] = block[deg]
+            for i, terms in enumerate(comps):
+                _component(terms, rows[:, :m], values[i, :m], scratch[:m])
+            out.append([_phase_sums(ts, [(k, values[i, :m], ws) for k, i, ws in parts],
+                                    factors[:, :m], product[:m], scratch[:m])
+                        for _, ts, parts in plans])
+        return out
+
+    done = _map(stripe, range(stride))
+    # chunk sums added in chunk order, whatever the worker count
+    by_chunk = [done[chunk % stride][chunk // stride] for chunk in range(n_chunks)]
+    results = []
+    for i, (c, ts, _) in enumerate(plans):
+        means = sum(sums[i] for sums in by_chunk) / n
+        out = []
+        for t, emp in zip(ts, means):
+            exact = np.exp(-0.5 * float(t @ c.cov @ t))
+            # |z| = 1, so var(Re z) + var(Im z) = 1 - |mean z|^2; one sample has
+            # variance 0, where the identity would leave a rounding residue
+            var = max(0.0, 1.0 - abs(emp) ** 2) if n > 1 else 0.0
+            out.append((float(abs(emp - exact)), float(np.sqrt(var / n))))
+        results.append(out)
+    return results
+
+
+def _phase_sums(ts, comps, factors: np.ndarray, product: np.ndarray,
+                phase: np.ndarray) -> np.ndarray:
+    """Per t, the chunk's sum of e^{i<t,F>} = prod_k e^{i t_k F_k}, from
+    comps = (k, values of F_k, sorted frequencies of F_k); the buffers are
+    the chunk's rows of the workspace."""
+    factor, slot = {}, 0
+    for k, values, ws in comps:
+        for w in ws:
+            e = factors[slot]
+            slot += 1
+            half = factor.get((k, w / 2))
+            if half is not None:  # e^{2iwF} = (e^{iwF})^2 costs no cos/sin
+                np.multiply(half, half, out=e)
+            else:
+                np.multiply(values, w, out=phase)
                 np.cos(phase, out=e.real)
                 np.sin(phase, out=e.imag)
-                factor[k, w] = e
-        sums = np.empty(len(ts), dtype=complex)
-        for i, t in enumerate(ts):
-            z = None
-            for k, w in enumerate(t):
-                if w != 0.0:
-                    z = factor[k, w] if z is None else z * factor[k, w]
-            sums[i] = rows.stop - start if z is None else z.sum()
-        return sums
-
-    # chunk sums added in chunk order, whatever the worker count
-    means = sum(_map(chunk_sums, range(0, n, CHUNK))) / n
-    out = []
-    for t, emp in zip(ts, means):
-        exact = np.exp(-0.5 * float(t @ c.cov @ t))
-        # |z| = 1, so var(Re z) + var(Im z) = 1 - |mean z|^2; one sample has
-        # variance 0, where the identity would leave a rounding residue
-        var = max(0.0, 1.0 - abs(emp) ** 2) if n > 1 else 0.0
-        out.append((float(abs(emp - exact)), float(np.sqrt(var / n))))
-    return out
+            factor[k, w] = e
+    sums = np.empty(len(ts), dtype=complex)
+    for i, t in enumerate(ts):
+        z = None
+        for k, w in enumerate(t):
+            if w != 0.0:
+                z = factor[k, w] if z is None else np.multiply(z, factor[k, w], out=product)
+        sums[i] = product.size if z is None else z.sum()
+    return sums

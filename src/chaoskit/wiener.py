@@ -35,6 +35,13 @@ from .spectral import ProductSpace, SpectralFn, inner, multiply, product_space, 
 
 IndexTuple = tuple[int, ...]
 
+# `product_formula_check` contracts dense tensors, and f (x)_1 g over R^m has
+# m^(2p-2) entries on 2p-2 axes.  numpy before 2.0 allows 32 axes, and 2^20
+# entries keep one contraction at 8 MiB.  Inside both limits p <= 17, so the
+# factorials and every term of the identity stay far from overflow.
+MAX_CONTRACTION_AXES = 32
+MAX_CONTRACTION_SIZE = 2**20
+
 
 def _multiplicity(order: int, key: IndexTuple) -> int:
     """Number of distinct arrangements of a sorted index tuple."""
@@ -47,6 +54,18 @@ def _multiplicity(order: int, key: IndexTuple) -> int:
         count //= math.factorial(j - i)
         i = j
     return count
+
+
+def _arrangements(key: IndexTuple):
+    """The distinct arrangements of a sorted index tuple, in lexicographic
+    order: `_multiplicity` of them, where itertools.permutations makes p!."""
+    if len(key) <= 1:
+        yield key
+        return
+    for i, first in enumerate(key):
+        if i == 0 or key[i - 1] != first:
+            for rest in _arrangements(key[:i] + key[i + 1:]):
+                yield (first,) + rest
 
 
 @dataclass(frozen=True)
@@ -99,7 +118,7 @@ class SymTensor:
     def to_dense(self) -> np.ndarray:
         out = np.zeros((self.dim,) * self.order)
         for key, v in self.items_sorted():
-            for perm in set(itertools.permutations(key)):
+            for perm in _arrangements(key):
                 out[perm] = v
         return out
 
@@ -129,8 +148,8 @@ def symmetrize(raw, dim: int | None = None, order: int | None = None) -> SymTens
     p = arr.ndim
     entries: dict[IndexTuple, float] = {}
     for key in itertools.combinations_with_replacement(range(m), p):
-        perms = set(itertools.permutations(key))
-        entries[key] = sum(arr[perm] for perm in sorted(perms)) / len(perms)
+        perms = list(_arrangements(key))
+        entries[key] = sum(arr[perm] for perm in perms) / len(perms)
     return SymTensor(m, p, entries)
 
 
@@ -192,6 +211,17 @@ def multiple_integral(f: SymTensor, space: ProductSpace | None = None) -> Spectr
     return SpectralFn(space, coeffs)
 
 
+def check_product_formula_size(p: int, m: int) -> None:
+    """Raise ValueError when `product_formula_check` at order p over R^m
+    would build a contraction past MAX_CONTRACTION_AXES or _SIZE."""
+    axes = 2 * p - 2
+    if axes > MAX_CONTRACTION_AXES or m**axes > MAX_CONTRACTION_SIZE:
+        raise ValueError(
+            f"order {p} over R^{m} needs a contraction of {m}^{axes} entries on "
+            f"{axes} axes; the limits are {MAX_CONTRACTION_SIZE} entries and "
+            f"{MAX_CONTRACTION_AXES} axes")
+
+
 def product_formula_check(f: SymTensor, g: SymTensor) -> tuple[float, float]:
     """(spectral side, contraction side) of the top-projection product identity."""
     if f.order != g.order:
@@ -199,6 +229,7 @@ def product_formula_check(f: SymTensor, g: SymTensor) -> tuple[float, float]:
     if f.dim != g.dim:
         raise ValueError("kernels must have equal dimension")
     p = f.order
+    check_product_formula_size(p, f.dim)
     space = hermite_space(f.dim, 2 * p)
     int_f = multiple_integral(f, space)
     int_g = multiple_integral(g, space)

@@ -1,6 +1,6 @@
 """Report digests of the shipped configs, for byte-identity checks across commits.
 
-    python3 tests/golden_digests.py [SEED ...]
+    python3 tests/golden_digests.py [SEED ...] [--check FILE]
 
 Runs each `configs/*.json` and the benchmark's mc-bound request for every
 SEED (default: 1) in-process, into a temporary directory, and prints one
@@ -10,8 +10,10 @@ round 0 of the benchmark's many-small workload (fresh Laguerre and Jacobi
 spreads, thm33-check, product-formula-check) and prints one sha256 over all
 their report digests, in request order.  It imports chaoskit from the `src/`
 next to this directory, so running the script of two checkouts and diffing
-the output shows whether a change moved any report byte.  Not collected by
-pytest.
+the output shows whether a change moved any report byte.  With `--check FILE`
+it compares its listing, line by line by run, with one saved from another
+checkout, names each run that differs (or is on one side only) and exits 1
+if any does.  Not collected by pytest.
 """
 
 from __future__ import annotations
@@ -37,22 +39,47 @@ def _digests(config: dict, out: Path) -> tuple[str, str]:
     return hashlib.sha256(csv).hexdigest(), hashlib.sha256(js).hexdigest()
 
 
+def _by_run(lines) -> dict[str, str]:
+    """Run label -> its digests, from listing lines."""
+    return dict(line.split(": ", 1) for line in lines if line.strip())
+
+
 def main(argv: list[str]) -> int:
+    saved = None
+    if "--check" in argv:
+        at = argv.index("--check")
+        saved_path = argv[at + 1]
+        saved = _by_run(Path(saved_path).read_text().splitlines())
+        del argv[at:at + 2]
+    ours = {}
+    for line in _listing(argv or ["1"]):
+        print(line, flush=True)
+        ours.update(_by_run([line]))
+    if saved is None:
+        return 0
+    differ = [run for run in {**saved, **ours} if saved.get(run) != ours.get(run)]
+    for run in differ:
+        print(f"DIFFERS: {run}", file=sys.stderr)
+    print(f"{len(differ)} of {len(saved.keys() | ours.keys())} runs differ from {saved_path}",
+          file=sys.stderr)
+    return 1 if differ else 0
+
+
+def _listing(seeds: list[str]):
+    """One line per run: label, then its digests."""
     runs = [(p.name, json.loads(p.read_text()))
             for p in sorted((ROOT / "configs").glob("*.json"))]
-    seeds = argv or ["1"]
     runs += [(f"mc-bound seed {s}", mc_bound(int(s), 0)[0].config) for s in seeds]
     with tempfile.TemporaryDirectory() as tmp:
         for k, (label, config) in enumerate(runs):
             csv, js = _digests(config, Path(tmp) / str(k))
-            print(f"{label}: csv {csv} json {js}")
+            yield f"{label}: csv {csv} json {js}"
         for s in seeds:
             total = hashlib.sha256()
             for k, req in enumerate(many_small(int(s), 0)):
                 csv, js = _digests(req.config, Path(tmp) / f"many-small-{s}-{k}")
                 total.update(f"{csv} {js}\n".encode())
-            print(f"many-small seed {s} round 0: {total.hexdigest()}")
-    return 0
+            yield f"many-small seed {s} round 0: {total.hexdigest()}"
 
 
 if __name__ == "__main__":

@@ -395,3 +395,30 @@ def test_moderately_high_degree_construction():
     for kind in (hermite(), jacobi(2.0, 2.0)):
         basis = make_basis(kind, 64)
         assert basis.max_degree == 64
+
+
+def _eval_all_reference(basis, x, deg):
+    """The three-term recurrence, one fresh row per degree."""
+    a, b = basis.rec_a, basis.rec_b
+    rows = [np.ones_like(x), (x - a[0]) / b[1]]
+    for k in range(1, deg):
+        rows.append(((x - a[k]) * rows[k] - b[k] * rows[k - 1]) / b[k + 1])
+    return np.array(rows[:deg + 1])
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: k.label())
+def test_eval_all_into_out_block(kind):
+    """eval_all writes into a given block (here a strided view of a wider
+    workspace) and returns it, bit for bit the values it allocates itself."""
+    basis = make_basis(kind, 12)
+    x = np.random.default_rng(3).uniform(-1.0, 3.0, 101)
+    ref = _eval_all_reference(basis, x, 9)
+    workspace = np.full((12, 128), np.nan)
+    block = workspace[:10, :101]
+    assert basis.eval_all(x, 9, out=block) is block
+    assert block.tobytes() == ref.tobytes() == basis.eval_all(x, 9).tobytes()
+    assert np.isnan(workspace[10:]).all() and np.isnan(workspace[:, 101:]).all()
+    for bad in (np.empty((9, 101)), np.empty((10, 100)), np.empty(1010),
+                np.empty((10, 101), dtype=np.float32)):
+        with pytest.raises(ValueError, match="out must be"):
+            basis.eval_all(x, 9, out=bad)

@@ -193,6 +193,27 @@ def test_product_formula_and_chaos_check_run(tmp_path):
     assert main(["chaos-check", "--config", cfg]) == 0
 
 
+def test_product_formula_order_limit(tmp_path, capsys):
+    """At m_max = 1 the dense contraction has 2 p_max - 2 axes: 17 is the
+    largest order that runs, 18 (and the 200 that the degree cap alone would
+    admit) exit 2 before any report is written."""
+    cfg = write_config(tmp_path, {
+        "experiment": "product-formula-check", "count": 4, "seed": 7,
+        "p_max": 17, "m_max": 1, "out": str(tmp_path / "ok"),
+    })
+    assert main(["product-formula-check", "--config", cfg]) == 0
+    with open(tmp_path / "ok" / "report.csv") as fh:
+        assert "17" in {row["p"] for row in csv.DictReader(fh)}
+    for p_max, m_max in ((18, 1), (200, 1), (12, 2)):
+        cfg = write_config(tmp_path, {
+            "experiment": "product-formula-check", "p_max": p_max, "m_max": m_max,
+            "out": str(tmp_path / "refused"),
+        })
+        assert main(["product-formula-check", "--config", cfg]) == 2
+        assert f"p_max {p_max} with m_max {m_max}" in capsys.readouterr().err
+    assert not (tmp_path / "refused").exists()
+
+
 def test_chaos_check_fails_for_jacobi(tmp_path, capsys):
     cfg = write_config(tmp_path, {
         "experiment": "chaos-check",

@@ -7,6 +7,7 @@ import json
 import math
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -32,7 +33,7 @@ from chaoskit import (
     spread,
 )
 from chaoskit.basis import Basis
-from chaoskit.montecarlo import CHUNK, tabulate
+from chaoskit.montecarlo import CHUNK
 
 BOUND_CHECK = Path(__file__).parent.parent / "configs" / "bound_check.json"
 
@@ -189,6 +190,24 @@ def test_evaluate_space_mismatch():
         evaluate(s2.unit(), batch)
 
 
+def test_evaluate_on_a_wider_batch():
+    """A batch whose leading columns have a function's kinds and degree range
+    evaluates it bit for bit as a batch of its own space; any other batch is
+    refused, by evaluate and by cf_gaps."""
+    space = product_space(hermite(), 6, 3)
+    batch = sample(space, 1000, seed=13)
+    narrow = spread(hermite(), 3, 2)
+    assert narrow.space.dim == 2 and narrow.space.coords[0].max_degree == 6
+    assert (evaluate(narrow, batch).tobytes()
+            == evaluate(narrow, sample(narrow.space, 1000, seed=13)).tobytes())
+    for other in (spread(laguerre(0.5), 1, 1), spread(hermite(), 1, 4),
+                  spread(hermite(), 4, 1)):  # kind, width, degree range
+        with pytest.raises(ValueError, match="does not cover"):
+            evaluate(other, batch)
+        with pytest.raises(ValueError, match="does not cover"):
+            cf_gap([other], np.eye(1), [1.0], batch)
+
+
 def test_cf_gap_zero_frequency_is_exact():
     space = product_space(hermite(), 4, 1)
     batch = sample(space, 1000, seed=7)
@@ -275,43 +294,30 @@ def test_cf_gaps_matches_full_array_reference(fs, ts, n, monkeypatch):
         assert abs(stderr - ref_stderr) <= 1e-14, (t, stderr, ref_stderr)
 
 
+def _count_components(monkeypatch) -> list:
+    """Record the terms of every component the Monte Carlo layer evaluates."""
+    calls = []
+    plain = montecarlo._component
+
+    def counting(terms, rows, out, tmp):
+        calls.append(tuple(terms))
+        return plain(terms, rows, out, tmp)
+
+    monkeypatch.setattr(montecarlo, "_component", counting)
+    return calls
+
+
 def test_bound_check_evaluates_each_component_once(tmp_path, monkeypatch):
+    """configs/bound_check.json has 10 components over six vectors; the pair
+    vectors at rho = 0 and 0.5 share their first component, so one chunk
+    evaluates 8 distinct components, each once."""
     obj = {**json.loads(BOUND_CHECK.read_text()), "n_samples": 500}
     cfg = experiments.parse_config(obj, out_override=str(tmp_path))
-    calls = []
-    plain = montecarlo.evaluate
-
-    def counting(f, batch):
-        calls.append(f)
-        return plain(f, batch)
-
-    monkeypatch.setattr(montecarlo, "evaluate", counting)
+    calls = _count_components(monkeypatch)
     experiments.run(cfg)
     components = sum(len(experiments.build_test_vector(v)[0]) for v in cfg.vectors)
-    assert len(calls) == components == 10
-
-
-def test_tabulated_batch_evaluates_as_its_batch():
-    """A tabulated batch holds the rows of the functions it was given in place
-    of its points; they, and narrower functions on the same columns, evaluate
-    on it bit for bit as on a batch of their own space."""
-    space = product_space(hermite(), 6, 3)
-    fs = [spread(hermite(), 3, 3), space.basis_fn((1, 0, 2), coeff=0.5)]
-    batch = sample(space, 1000, seed=13)
-    tab = tabulate(batch, fs)
-    assert tab.points is None and set(tab._rows) == {(0, 1), (0, 3), (1, 3), (2, 2), (2, 3)}
-    for f in fs:
-        assert evaluate(f, tab).tobytes() == evaluate(f, batch).tobytes()
-    narrow = spread(hermite(), 3, 2)
-    assert narrow.space.dim == 2 and narrow.space.coords[0].max_degree == 6
-    assert (evaluate(narrow, tab).tobytes()
-            == evaluate(narrow, sample(narrow.space, 1000, seed=13)).tobytes())
-    with pytest.raises(ValueError, match="neither points nor"):
-        evaluate(space.basis_fn((0, 2, 0)), tab)
-    for other in (spread(laguerre(0.5), 1, 1), spread(hermite(), 1, 4),
-                  spread(hermite(), 4, 1)):  # kind, width, degree range
-        with pytest.raises(ValueError, match="does not cover"):
-            evaluate(other, batch)
+    assert components == 10
+    assert len(calls) == len(set(calls)) == 8
 
 
 @pytest.mark.parametrize("kind", [hermite(), laguerre(0.0), laguerre(0.5),
@@ -338,7 +344,7 @@ _EXTRA_VECTORS = [
 
 
 @pytest.mark.parametrize("workers", [1, 2])
-@pytest.mark.parametrize("n", [1, 2 * CHUNK + 17])
+@pytest.mark.parametrize("n", [1, CHUNK - 1, CHUNK + 1, 2 * CHUNK + 17, 3 * CHUNK + 5])
 def test_bound_check_matches_a_batch_per_vector(n, workers, tmp_path, monkeypatch):
     """The runner's shared batches give every vector, bit for bit, the gap and
     stderr of a batch sampled on its own space with the run's seed."""
@@ -360,10 +366,14 @@ def test_bound_check_matches_a_batch_per_vector(n, workers, tmp_path, monkeypatc
     assert [tuple(row[i] for i in at) for row in rows] == expected
 
 
-def test_bound_check_draws_and_tabulates_each_column_once(tmp_path, monkeypatch):
+@pytest.mark.parametrize("workers", [1, 2])
+def test_bound_check_draws_and_evaluates_each_column_once_per_chunk(
+        workers, tmp_path, monkeypatch):
     """On configs/bound_check.json (37 columns over six Hermite vectors, 16
-    distinct) each column is drawn once and gets one recurrence table."""
-    obj = {**json.loads(BOUND_CHECK.read_text()), "n_samples": 500}
+    distinct) each (column, chunk) is drawn once and gets one recurrence
+    block of its chunk's rows."""
+    n = 2 * CHUNK + 17
+    obj = {**json.loads(BOUND_CHECK.read_text()), "n_samples": n}
     cfg = experiments.parse_config(obj, out_override=str(tmp_path))
     streams, draws, tables = [], [], []
     plain_stream, plain_draw, plain_eval_all = (
@@ -374,20 +384,69 @@ def test_bound_check_draws_and_tabulates_each_column_once(tmp_path, monkeypatch)
         return plain_stream(seed, chunk_index, coord)
 
     def draw(kind, gen, size):
-        draws.append(kind)
+        draws.append((kind, size))
         return plain_draw(kind, gen, size)
 
-    def eval_all(self, x, deg=None):
-        tables.append(self.kind)
-        return plain_eval_all(self, x, deg)
+    def eval_all(self, x, deg=None, out=None):
+        tables.append((self.kind, x.size))
+        return plain_eval_all(self, x, deg, out)
 
+    monkeypatch.setattr(montecarlo, "_WORKERS", workers)
     monkeypatch.setattr(montecarlo, "_stream", stream)
     monkeypatch.setattr(montecarlo, "_draw", draw)
     monkeypatch.setattr(Basis, "eval_all", eval_all)
     experiments.run(cfg)
-    keys = {(kind, coord, chunk) for kind, (chunk, coord) in zip(draws, streams)}
-    assert len(draws) == len(streams) == len(keys) == 16
-    assert len(tables) == 16
+    keys = {(kind, coord, chunk) for (kind, _), (chunk, coord) in zip(draws, streams)}
+    assert len(draws) == len(streams) == len(keys) == 3 * 16
+    assert {chunk for chunk, _ in streams} == {0, 1, 2}
+    assert sorted(tables) == sorted(draws)
+    assert sorted(size for _, size in draws) == [17] * 16 + [CHUNK] * 32
+
+
+def test_bound_check_evaluates_a_shared_component_once_per_chunk(tmp_path, monkeypatch):
+    """pair_mixed vectors at equal n share their first component whatever rho,
+    on spaces of different width: over four chunks it is evaluated four
+    times, and each vector still gets the gaps of a batch of its own space."""
+    n = 3 * CHUNK + 5
+    obj = {**json.loads(BOUND_CHECK.read_text()), "n_samples": n,
+           "vectors": [{"type": "pair_mixed", "p1": 2, "p2": 2, "rho": rho, "n": 2}
+                       for rho in (0.0, 0.5)]}
+    cfg = experiments.parse_config(obj, out_override=str(tmp_path))
+    f1 = experiments.build_test_vector(cfg.vectors[0])[0][0]
+    f2 = experiments.build_test_vector(cfg.vectors[1])[0][0]
+    assert (f1.space.dim, f2.space.dim) == (4, 3)
+    assert f1.coeffs == {alpha + (0,): v for alpha, v in f2.coeffs.items()}
+    calls = _count_components(monkeypatch)
+    columns, rows, _, _ = experiments._run_bound_check(cfg)
+    assert len(calls) == 4 * 3 and len(set(calls)) == 3
+    monkeypatch.undo()
+    expected = []
+    for v in cfg.vectors:
+        fs, target, name = experiments.build_test_vector(v)
+        ts = experiments.t_grid(cfg.t_axis, len(fs), cfg.t_max)
+        expected += cf_gaps(fs, target, ts, sample(fs[0].space, n, cfg.seed))
+    at = [columns.index(c) for c in ("gap", "stderr")]
+    assert [tuple(row[i] for i in at) for row in rows] == expected
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_bound_check_memory_does_not_grow_with_n_samples(workers, tmp_path, monkeypatch):
+    """No array of the bound check has n_samples rows: numpy reports its
+    buffers to tracemalloc, and the traced peak at 40 chunks is within 1 MB
+    of the peak at 4."""
+    obj = json.loads(BOUND_CHECK.read_text())
+    monkeypatch.setattr(montecarlo, "_WORKERS", workers)
+    peaks = []
+    for n in (4 * CHUNK, 40 * CHUNK):
+        cfg = experiments.parse_config({**obj, "n_samples": n}, out_override=str(tmp_path))
+        experiments._run_bound_check(cfg)  # warm caches outside the trace
+        tracemalloc.start()
+        try:
+            experiments._run_bound_check(cfg)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[0] > 1e6 and abs(peaks[1] - peaks[0]) < 1e6, peaks
 
 
 def _import_leaves_unloaded(module: str) -> None:

@@ -20,6 +20,7 @@ from chaoskit import (
     spectrum,
     symmetrize,
 )
+from chaoskit import wiener
 from chaoskit.experiments import random_sym_tensor
 
 import oracles
@@ -54,6 +55,26 @@ def test_symmetrize_matches_brute_force():
         sym = symmetrize(raw)
         brute = oracles.brute_symmetrize(raw)
         assert np.abs(sym.to_dense() - brute).max() < 1e-13
+
+
+def test_arrangements_are_the_sorted_distinct_permutations():
+    import itertools
+
+    for key in [(0,), (0, 0, 0), (0, 1, 2, 3), (0, 0, 1, 2), (0, 1, 1, 1, 3), (1, 1, 2, 2)]:
+        arrangements = list(wiener._arrangements(key))
+        assert arrangements == sorted(set(itertools.permutations(key)))
+        assert len(arrangements) == wiener._multiplicity(len(key), key)
+
+
+def test_to_dense_and_symmetrize_at_high_order():
+    """Dense round trips cost one visit per distinct arrangement, not p!: at
+    m = 1 and p = 17 there is one, where the permutations number 3.6e14."""
+    t = SymTensor(1, 17, {(0,) * 17: 2.5})
+    dense = t.to_dense()
+    assert dense.shape == (1,) * 17 and float(dense.sum()) == 2.5
+    assert symmetrize(dense).entries == t.entries
+    u = random_sym_tensor(2, 12, np.random.default_rng(4))
+    assert symmetrize(u.to_dense()).entries == pytest.approx(u.entries, rel=1e-15)
 
 
 def test_symmetrize_validation():
@@ -216,3 +237,26 @@ def test_product_formula_validation():
         product_formula_check(e(0), SymTensor(2, 2, {(0, 0): 1.0}))
     with pytest.raises(ValueError):
         product_formula_check(e(0, m=2), e(0, m=3))
+
+
+@pytest.mark.parametrize("p, m, ok", [
+    (17, 1, True), (18, 1, False), (11, 2, True), (12, 2, False),
+    (4, 6, True), (5, 6, False), (2, 1024, True), (2, 1025, False), (1, 10**6, True),
+])
+def test_product_formula_size_limit(p, m, ok):
+    """f (x)_1 g has m^(2p-2) entries on 2p-2 axes: at most 2^20 and 32."""
+    if ok:
+        wiener.check_product_formula_size(p, m)
+    else:
+        with pytest.raises(ValueError, match="the limits are 1048576 entries and 32 axes"):
+            wiener.check_product_formula_size(p, m)
+
+
+def test_product_formula_at_the_order_limit():
+    rng = np.random.default_rng(5)
+    f, g = random_sym_tensor(1, 17, rng), random_sym_tensor(1, 17, rng)
+    lhs, rhs = product_formula_check(f, g)
+    assert math.isfinite(lhs) and abs(lhs - rhs) <= 1e-10 * (1.0 + abs(lhs))
+    f, g = random_sym_tensor(1, 18, rng), random_sym_tensor(1, 18, rng)
+    with pytest.raises(ValueError, match="34 axes"):
+        product_formula_check(f, g)
