@@ -189,19 +189,16 @@ class Basis:
 
     def eval_with_derivatives(self, x: np.ndarray, deg: int | None = None,
                               ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(Q, Q', Q'') rows 0..deg at x, via the differentiated recurrence."""
+        """(Q, Q', Q'') rows 0..deg at x: Q from `eval_all`, its derivatives by
+        the differentiated recurrence."""
         x = np.atleast_1d(np.asarray(x, dtype=float))
-        deg = self.max_degree if deg is None else deg
+        q = self.eval_all(x, deg)
         a, b = self.rec_a, self.rec_b
-        q = np.zeros((deg + 1, x.size))
         d1 = np.zeros_like(q)
         d2 = np.zeros_like(q)
-        q[0] = 1.0
-        if deg >= 1:
-            q[1] = (x - a[0]) / b[1]
+        if len(q) > 1:
             d1[1] = 1.0 / b[1]
-        for k in range(1, deg):
-            q[k + 1] = ((x - a[k]) * q[k] - b[k] * q[k - 1]) / b[k + 1]
+        for k in range(1, len(q) - 1):
             d1[k + 1] = (q[k] + (x - a[k]) * d1[k] - b[k] * d1[k - 1]) / b[k + 1]
             d2[k + 1] = (2 * d1[k] + (x - a[k]) * d2[k] - b[k] * d2[k - 1]) / b[k + 1]
         return q, d1, d2

@@ -12,25 +12,17 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 
 from . import moments, montecarlo, sequences, spectral, wiener
-from .basis import BasisKind, hermite, make_basis
+from .basis import BasisKind, hermite, jacobi, laguerre, make_basis
 from .moments import CSV_COLUMNS, GaussianTarget
 from .sequences import SequenceSpec
 from .spectral import CHAOS_TOL, SpectralFn, product_space
-
-EXPERIMENTS = (
-    "chaos-check",
-    "fmt-verify",
-    "joint-verify",
-    "bound-check",
-    "thm33-check",
-    "product-formula-check",
-)
 
 DEFAULT_TOLERANCES = {
     "closed_form": 1e-9,
@@ -44,23 +36,139 @@ class ConfigError(ValueError):
     """Invalid experiment configuration (exit code 2)."""
 
 
-@dataclass(frozen=True)
+# -- config fields -------------------------------------------------------------
+
+
+def _require(obj: dict, key: str):
+    if key not in obj:
+        raise ConfigError(f"config is missing required field {key!r}")
+    return obj[key]
+
+
+def _convert(what: str, value, conv):
+    """conv(value), with a missing field or a value of the wrong type or form
+    reported as a ConfigError about `what`."""
+    try:
+        return conv(value)
+    except ConfigError:
+        raise
+    except KeyError as exc:
+        raise ConfigError(f"{what} is missing {exc}") from exc
+    except (ArithmeticError, AttributeError, TypeError, ValueError, RuntimeError) as exc:
+        raise ConfigError(f"bad {what}: {exc}") from exc
+
+
+def _object(obj, where: str, keys) -> dict:
+    """obj, refused unless it is a JSON object whose every key is in `keys`."""
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{where} must be a JSON object, got {obj!r}")
+    unread = [key for key in obj if key not in keys]
+    if unread:
+        raise ConfigError(f"{where} has unknown key(s) {unread}; it reads {list(keys)}")
+    return obj
+
+
+def _checked(conv, ok, message: str):
+    """conv, refusing a result for which ok(result) is false."""
+    def convert(value):
+        out = conv(value)
+        if not ok(out):
+            raise ValueError(f"{message}, got {out!r}")
+        return out
+    return convert
+
+
+def _kind(obj) -> BasisKind:
+    return BasisKind.from_json(_object(obj, "basis kind", ("kind", "params")))
+
+
+def _sequence(obj) -> SequenceSpec:
+    spec = SequenceSpec.from_json(obj)
+    _object(obj, "sequence", spec.to_json())  # holds every key from_json reads
+    _object(obj.get("kind", {}), "basis kind", spec.kind.to_json())
+    spec.build(1)  # builds (memoized) the basis every grid point uses
+    return spec
+
+
+_at_least_one = _checked(int, lambda n: n >= 1, "must be >= 1")
+_positive = _checked(float, lambda x: x > 0, "must be positive")
+_finite = _checked(float, math.isfinite, "must be finite")
+_t_axis = _checked(lambda xs: tuple(map(_finite, xs)), bool, "must not be empty")
+_seed = _checked(int, lambda s: 0 <= s < 2**64, "must be an unsigned 64-bit integer")
+_n_grid = _checked(lambda ns: tuple(map(int, ns)),
+                   lambda g: g and g[0] >= 1 and all(a < b for a, b in zip(g, g[1:])),
+                   "must be a nonempty, strictly increasing list of integers >= 1")
+_families = _checked(lambda objs: tuple(map(_kind, objs)), bool, "must not be empty")
+_vectors = _checked(
+    lambda specs: tuple(_convert(f"vector spec {v!r}", v, _test_vector) for v in specs),
+    bool, "must not be empty")
+
+
+def _field(conv, default=MISSING):
+    """A field read from the config key of its name; required without a default."""
+    return field(default=default, metadata={"conv": conv})
+
+
+@dataclass(frozen=True, kw_only=True)
 class ExperimentConfig:
+    """The keys every experiment reads.  A subclass declares the fields of its
+    experiments, each with its conversion (which checks the value) and default;
+    any other key, also in a sequence, test vector or basis kind, is refused."""
     experiment: str
     seed: int
     out: Path
-    tolerances: dict
-    sequence: SequenceSpec | None = None
-    n_grid: tuple[int, ...] = ()
-    n_samples: int = 100_000
-    vectors: tuple[dict, ...] = ()
-    t_axis: tuple[float, ...] = (0.25, 0.5, 1.0, 2.0)
-    t_max: float = 3.0
-    count: int = 0
-    families: tuple[BasisKind, ...] = ()
-    max_coords: int = 2
-    max_degree: int = 6
-    raw: dict = field(default_factory=dict)
+    tolerances: dict  # the tolerances the experiment reads, defaults filled in
+    raw: dict
+
+
+@dataclass(frozen=True, kw_only=True)
+class SequenceConfig(ExperimentConfig):
+    """chaos-check, fmt-verify and joint-verify: a sequence over an n grid."""
+    sequence: SequenceSpec = _field(_sequence)
+    n_grid: tuple[int, ...] = _field(_n_grid)
+
+    def __post_init__(self) -> None:
+        family = {"fmt-verify": "spread", "joint-verify": "pair_mixed"}.get(self.experiment)
+        if family not in (None, self.sequence.family):
+            raise ConfigError(f"{self.experiment} needs a {family} sequence")
+
+
+@dataclass(frozen=True, kw_only=True)
+class BoundCheckConfig(ExperimentConfig):
+    vectors: tuple[tuple[tuple[SpectralFn, ...], str], ...] = _field(_vectors)  # (fs, name)
+    n_samples: int = _field(_at_least_one, 100_000)
+    t_axis: tuple[float, ...] = _field(_t_axis, (0.25, 0.5, 1.0, 2.0))
+    t_max: float = _field(_finite, 3.0)
+
+    def __post_init__(self) -> None:
+        for fs, name in self.vectors:
+            if not t_grid(self.t_axis, len(fs), self.t_max):
+                raise ConfigError(f"vector {name!r} has no grid point with ||t|| <= t_max")
+
+
+@dataclass(frozen=True, kw_only=True)
+class Thm33Config(ExperimentConfig):
+    count: int = _field(_at_least_one, 1500)
+    families: tuple[BasisKind, ...] = _field(
+        _families, (hermite(), laguerre(0.0), jacobi(2.0, 2.0)))
+    max_coords: int = _field(_at_least_one, 2)
+    max_degree: int = _field(_at_least_one, 6)
+
+    def __post_init__(self) -> None:
+        for kind in self.families:  # build (memoized) every basis the run draws from
+            _convert(f"{kind.label()} basis", self.max_degree, partial(make_basis, kind))
+
+
+@dataclass(frozen=True, kw_only=True)
+class ProductFormulaConfig(ExperimentConfig):
+    count: int = _field(_at_least_one, 200)
+    p_max: int = _field(_at_least_one, 3)
+    m_max: int = _field(_at_least_one, 4)
+
+    def __post_init__(self) -> None:
+        _convert(f"p_max {self.p_max} with m_max {self.m_max}", self.m_max,
+                 partial(wiener.check_product_formula_size, self.p_max))
+        make_basis(hermite(), 2 * self.p_max)  # I_p's coordinates; small inside the limit
 
 
 @dataclass
@@ -71,138 +179,27 @@ class RunResult:
     report_csv: Path
 
 
-def _require(obj: dict, key: str):
-    if key not in obj:
-        raise ConfigError(f"config is missing required field {key!r}")
-    return obj[key]
-
-
-def _convert(key: str, value, conv):
-    """conv(value), with a value of the wrong type or form reported as a ConfigError."""
-    try:
-        return conv(value)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad value for {key!r}: {value!r}") from exc
-
-
-def _floats(values) -> tuple[float, ...]:
-    return tuple(float(v) for v in values)
-
-
-def _ints(values) -> tuple[int, ...]:
-    return tuple(int(v) for v in values)
-
-
 def parse_config(obj: dict, seed_override: int | None = None,
                  out_override: str | None = None) -> ExperimentConfig:
+    """The run a JSON config asks for; a key the experiment does not read is refused."""
     if not isinstance(obj, dict):
         raise ConfigError("config must be a JSON object")
     experiment = _require(obj, "experiment")
     if experiment not in EXPERIMENTS:
-        raise ConfigError(
-            f"unknown experiment {experiment!r}; expected one of {EXPERIMENTS}"
-        )
+        raise ConfigError(f"unknown experiment {experiment!r}, not one of {EXPERIMENTS}")
+    cls, tolerance_names, _ = _EXPERIMENTS[experiment]
+    options = {f.name: f for f in fields(cls) if "conv" in f.metadata}
+    _object(obj, "config", ("experiment", "seed", "out", "tolerances", *options))
     seed = obj.get("seed", 0) if seed_override is None else seed_override
-    seed = _convert("seed", seed, int)
-    if not 0 <= seed < 2**64:
-        raise ConfigError(f"seed must be an unsigned 64-bit integer, got {seed}")
-    out = out_override if out_override is not None else obj.get("out", f"reports/{experiment}")
-    out = _convert("out", out, Path)
-
-    tol = dict(DEFAULT_TOLERANCES)
-    for name, value in _convert("tolerances", obj.get("tolerances", {}), dict).items():
-        tol[name] = _convert(f"tolerances.{name}", value, float)
-    for name, value in tol.items():
-        if not value > 0:
-            raise ConfigError(f"tolerance {name!r} must be positive, got {value}")
-
-    kwargs: dict = {}
-    if experiment in ("chaos-check", "fmt-verify", "joint-verify"):
-        try:
-            spec = SequenceSpec.from_json(_require(obj, "sequence"))
-            spec.build(1)  # builds (memoized) the basis every grid point uses
-        except (AttributeError, KeyError, TypeError, ValueError, RuntimeError) as exc:
-            raise ConfigError(f"bad sequence spec: {exc}") from exc
-        grid = _convert("n_grid", _require(obj, "n_grid"), _ints)
-        if not grid or any(n < 1 for n in grid):
-            raise ConfigError("n_grid must be a nonempty list of integers >= 1")
-        if any(b <= a for a, b in zip(grid, grid[1:])):
-            raise ConfigError("n_grid must be strictly increasing")
-        if experiment == "fmt-verify" and spec.family != "spread":
-            raise ConfigError("fmt-verify needs a spread sequence")
-        if experiment == "joint-verify" and spec.family != "pair_mixed":
-            raise ConfigError("joint-verify needs a pair_mixed sequence")
-        kwargs.update(sequence=spec, n_grid=grid)
-    elif experiment == "bound-check":
-        t_axis = _convert("t_axis", obj.get("t_axis", (0.25, 0.5, 1.0, 2.0)), _floats)
-        t_max = _convert("t_max", obj.get("t_max", 3.0), float)
-        if not all(math.isfinite(t) for t in (*t_axis, t_max)):
-            raise ConfigError("t_axis entries and t_max must be finite")
-        vectors = _convert("vectors", _require(obj, "vectors"), tuple)
-        if not vectors:
-            raise ConfigError("bound-check needs at least one test vector")
-        for v in vectors:
-            if not isinstance(v, dict):
-                raise ConfigError(f"bad vector spec {v!r}")
-            try:
-                fs, _ = _test_vector(v)
-                for f in fs:  # the covariance the run builds needs finite moments
-                    spectral.inner(f, f)
-            except KeyError as exc:
-                raise ConfigError(f"vector spec {v!r} is missing {exc}") from exc
-            except (TypeError, ValueError, RuntimeError) as exc:
-                raise ConfigError(f"bad vector spec {v!r}: {exc}") from exc
-            if not t_grid(t_axis, len(fs), t_max):
-                raise ConfigError(f"vector spec {v!r} has no grid point with ||t|| <= t_max")
-        n_samples = _convert("n_samples", obj.get("n_samples", 100_000), int)
-        if n_samples < 1:
-            raise ConfigError("n_samples must be >= 1")
-        kwargs.update(vectors=vectors, n_samples=n_samples, t_axis=t_axis, t_max=t_max)
-    else:
-        count = obj.get("count", 1500 if experiment == "thm33-check" else 200)
-        count = _convert("count", count, int)
-        if count < 1:
-            raise ConfigError("count must be >= 1")
-        fams = obj.get(
-            "families",
-            [{"kind": "hermite", "params": []},
-             {"kind": "laguerre", "params": [0.0]},
-             {"kind": "jacobi", "params": [2.0, 2.0]}],
-        )
-        try:
-            families = tuple(BasisKind.from_json(k) for k in fams)
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigError(f"bad basis kind: {exc}") from exc
-        max_coords = _convert("max_coords", obj.get("max_coords", 2), int)
-        max_degree = _convert("max_degree", obj.get("max_degree", 6), int)
-        if experiment == "product-formula-check":
-            max_degree = _convert("p_max", obj.get("p_max", 3), int)
-            max_coords = _convert("m_max", obj.get("m_max", 4), int)
-        if max_coords < 1 or max_degree < 1:
-            raise ConfigError("dimension and degree limits must be >= 1")
-        if experiment == "product-formula-check":
-            try:
-                wiener.check_product_formula_size(max_degree, max_coords)
-            except ValueError as exc:
-                raise ConfigError(f"p_max {max_degree} with m_max {max_coords}: {exc}") from exc
-        # Build (memoized) the largest basis of each family the run draws from;
-        # product-formula-check puts I_p on Hermite coordinates of degree 2p.
-        bases = ([(kind, max_degree) for kind in families] if experiment == "thm33-check"
-                 else [(hermite(), 2 * max_degree)])
-        for kind, degree in bases:
-            try:
-                make_basis(kind, degree)
-            except (RuntimeError, ValueError) as exc:
-                raise ConfigError(f"cannot build the {kind.label()} basis: {exc}") from exc
-        kwargs.update(
-            count=count, families=families,
-            max_coords=max_coords, max_degree=max_degree,
-        )
-
-    return ExperimentConfig(
-        experiment=experiment, seed=seed, out=out, tolerances=tol, raw=dict(obj),
-        **kwargs,
-    )
+    out = obj.get("out", f"reports/{experiment}") if out_override is None else out_override
+    given = _object(obj.get("tolerances", {}), "tolerances", tolerance_names)
+    values = {name: _convert(repr(name), _require(obj, name), f.metadata["conv"])
+              for name, f in options.items() if name in obj or f.default is MISSING}
+    values["tolerances"] = {
+        name: _convert(f"tolerance {name!r}", given.get(name, DEFAULT_TOLERANCES[name]),
+                       _positive) for name in tolerance_names}
+    return cls(experiment=experiment, raw=dict(obj), seed=_convert("'seed'", seed, _seed),
+               out=_convert("'out'", out, Path), **values)
 
 
 def load_config(path: str | Path, seed_override: int | None = None,
@@ -372,19 +369,23 @@ def _run_joint_verify(cfg: ExperimentConfig):
 def _test_vector(v: dict) -> tuple[tuple[SpectralFn, ...], str]:
     """The components and name of a config's test vector; raises as
     `build_test_vector` does."""
-    kind = BasisKind.from_json(v.get("kind", {"kind": "hermite"}))
+    kind = _kind(v.get("kind", {"kind": "hermite"}))
     if v.get("type") == "eigenfunction":
+        _object(v, "vector spec", ("type", "name", "kind", "degree", "scale"))
         p = int(v["degree"])
         fs: tuple[SpectralFn, ...] = (
             sequences.spread(kind, p, 1).scale(float(v.get("scale", 1.0))),
         )
         name = v.get("name", f"{kind.label()}-Q{p}")
     elif v.get("type") == "pair_mixed":
+        _object(v, "vector spec", ("type", "name", "kind", "p1", "p2", "rho", "n"))
         fs = sequences.pair_mixed(int(v["p1"]), int(v["p2"]), float(v.get("rho", 0.0)),
                                   int(v["n"]), kind=kind)
         name = v.get("name", f"pair({v['p1']},{v['p2']},{v.get('rho', 0.0)},{v['n']})")
     else:
         raise ValueError(f"unknown test-vector type {v.get('type')!r}")
+    for f in fs:  # the covariance needs finite second moments
+        spectral.inner(f, f)
     return fs, str(name)
 
 
@@ -408,12 +409,10 @@ def _run_bound_check(cfg: ExperimentConfig):
     columns = ["vector", "t", "t_norm", "gap", "stderr", "prop31", "rhs", "pass"]
     rows: list[list] = []
     failures: list[str] = []
-    vectors = [build_test_vector(v) for v in cfg.vectors]
-    grids = [t_grid(cfg.t_axis, len(fs), cfg.t_max) for fs, _, _ in vectors]
-    gaps = montecarlo.sampled_cf_gaps(
-        [(fs, target, ts) for (fs, target, _), ts in zip(vectors, grids)],
-        cfg.n_samples, cfg.seed)
-    for (fs, target, name), ts, vector_gaps in zip(vectors, grids, gaps):
+    checks = [(fs, GaussianTarget(moments._covariance(fs)),
+               t_grid(cfg.t_axis, len(fs), cfg.t_max)) for fs, _ in cfg.vectors]
+    gaps = montecarlo.sampled_cf_gaps(checks, cfg.n_samples, cfg.seed)
+    for (fs, target, ts), (_, name), vector_gaps in zip(checks, cfg.vectors, gaps):
         bound = moments.prop31_bound(fs, target)
         for t, (gap, stderr) in zip(ts, vector_gaps):
             tn = float(np.linalg.norm(t))
@@ -494,10 +493,9 @@ def _run_product_formula_check(cfg: ExperimentConfig):
     rng = np.random.default_rng(cfg.seed)
     rows: list[list] = []
     failures: list[str] = []
-    p_max, m_max = cfg.max_degree, cfg.max_coords
     for i in range(cfg.count):
-        p = int(rng.integers(1, p_max + 1))
-        m = int(rng.integers(1, m_max + 1))
+        p = int(rng.integers(1, cfg.p_max + 1))
+        m = int(rng.integers(1, cfg.m_max + 1))
         f = random_sym_tensor(m, p, rng)
         g = random_sym_tensor(m, p, rng)
         lhs, rhs = wiener.product_formula_check(f, g)
@@ -514,17 +512,20 @@ def _run_product_formula_check(cfg: ExperimentConfig):
     return columns, rows, summary, failures
 
 
-_RUNNERS = {
-    "chaos-check": _run_chaos_check,
-    "fmt-verify": _run_fmt_verify,
-    "joint-verify": _run_joint_verify,
-    "bound-check": _run_bound_check,
-    "thm33-check": _run_thm33_check,
-    "product-formula-check": _run_product_formula_check,
+# experiment -> (its config class, the tolerances it reads, its runner)
+_EXPERIMENTS = {
+    "chaos-check": (SequenceConfig, ("chaos",), _run_chaos_check),
+    "fmt-verify": (SequenceConfig, ("closed_form", "chaos"), _run_fmt_verify),
+    "joint-verify": (SequenceConfig, ("closed_form", "chaos"), _run_joint_verify),
+    "bound-check": (BoundCheckConfig, (), _run_bound_check),
+    "thm33-check": (Thm33Config, ("thm33",), _run_thm33_check),
+    "product-formula-check": (ProductFormulaConfig, ("product_formula",),
+                              _run_product_formula_check),
 }
+EXPERIMENTS = tuple(_EXPERIMENTS)
 
 
 def run(cfg: ExperimentConfig) -> RunResult:
     """Run one experiment; writes report.json / report.csv under cfg.out."""
-    columns, rows, summary, failures = _RUNNERS[cfg.experiment](cfg)
+    columns, rows, summary, failures = _EXPERIMENTS[cfg.experiment][2](cfg)
     return _write_reports(cfg, columns, rows, summary, failures)

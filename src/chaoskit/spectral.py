@@ -229,12 +229,7 @@ def _pair_expand(f: SpectralFn, g: SpectralFn, carre: bool) -> SpectralFn:
             fixed = tuple(da + db for da, db in zip(alpha, beta))
             expand: list[tuple[int, np.ndarray]] = []
             for i, (da, db) in enumerate(zip(alpha, beta)):
-                if da + db > space.coords[i].max_degree:
-                    raise ValueError(
-                        f"product degree {da + db} overflows coordinate {i} "
-                        f"(max_degree {space.coords[i].max_degree})"
-                    )
-                if da and db:
+                if da and db:  # linearize refuses a product degree past max_degree
                     expand.append((i, space.coords[i].linearize(da, db)))
             if not carre:
                 _accumulate(acc, fixed, base, expand, 0)

@@ -213,13 +213,16 @@ def multiple_integral(f: SymTensor, space: ProductSpace | None = None) -> Spectr
 
 def check_product_formula_size(p: int, m: int) -> None:
     """Raise ValueError when `product_formula_check` at order p over R^m
-    would build a contraction past MAX_CONTRACTION_AXES or _SIZE."""
+    would build a contraction past MAX_CONTRACTION_AXES or _SIZE, or square
+    I_p(f), C(m+p-1, p) terms on m coordinates, in more than _SIZE steps."""
     axes = 2 * p - 2
-    if axes > MAX_CONTRACTION_AXES or m**axes > MAX_CONTRACTION_SIZE:
+    if axes > MAX_CONTRACTION_AXES or max(
+            m**axes, math.comb(m + p - 1, p) ** 2 * m) > MAX_CONTRACTION_SIZE:
         raise ValueError(
             f"order {p} over R^{m} needs a contraction of {m}^{axes} entries on "
-            f"{axes} axes; the limits are {MAX_CONTRACTION_SIZE} entries and "
-            f"{MAX_CONTRACTION_AXES} axes")
+            f"{axes} axes and a square of C({m + p - 1}, {p})^2 * {m} steps; the "
+            f"limits are {MAX_CONTRACTION_SIZE} entries and {MAX_CONTRACTION_AXES} axes, "
+            f"and {MAX_CONTRACTION_SIZE} steps")
 
 
 def product_formula_check(f: SymTensor, g: SymTensor) -> tuple[float, float]:

@@ -196,7 +196,8 @@ def test_product_formula_and_chaos_check_run(tmp_path):
 def test_product_formula_order_limit(tmp_path, capsys):
     """At m_max = 1 the dense contraction has 2 p_max - 2 axes: 17 is the
     largest order that runs, 18 (and the 200 that the degree cap alone would
-    admit) exit 2 before any report is written."""
+    admit) exit 2 before any report is written.  At p_max = 1 it has none,
+    but squaring I_1(f) takes m_max^3 steps, so m_max 102 exits 2 too."""
     cfg = write_config(tmp_path, {
         "experiment": "product-formula-check", "count": 4, "seed": 7,
         "p_max": 17, "m_max": 1, "out": str(tmp_path / "ok"),
@@ -204,7 +205,7 @@ def test_product_formula_order_limit(tmp_path, capsys):
     assert main(["product-formula-check", "--config", cfg]) == 0
     with open(tmp_path / "ok" / "report.csv") as fh:
         assert "17" in {row["p"] for row in csv.DictReader(fh)}
-    for p_max, m_max in ((18, 1), (200, 1), (12, 2)):
+    for p_max, m_max in ((18, 1), (200, 1), (12, 2), (1, 102)):
         cfg = write_config(tmp_path, {
             "experiment": "product-formula-check", "p_max": p_max, "m_max": m_max,
             "out": str(tmp_path / "refused"),
@@ -299,6 +300,33 @@ def test_parse_config_builds_no_covariance(monkeypatch):
                        match=r"bad vector spec .*: inner product is not finite \(inf\)"):
         parse_config({"experiment": "bound-check", "vectors": [q1]})
     assert made == []
+
+
+Q1 = {"type": "eigenfunction", "degree": 1}
+HERMITE_EXTRA = {"kind": "hermite", "params": [], "max_degree": 4}
+
+
+@pytest.mark.parametrize("obj, key", [
+    ({"experiment": "bound-check", "vectors": [Q1], "n_sample": 10}, "n_sample"),
+    ({"experiment": "product-formula-check", "max_degree": 3}, "max_degree"),
+    ({"experiment": "fmt-verify", "sequence": SPREAD, "n_grid": [1],
+      "tolerances": {"closedform": 1e-30}}, "closedform"),
+    ({"experiment": "bound-check", "vectors": [Q1], "tolerances": {"chaos": 1e-8}}, "chaos"),
+    ({"experiment": "fmt-verify", "sequence": dict(SPREAD, p1=3), "n_grid": [1]}, "p1"),
+    ({"experiment": "bound-check", "vectors": [dict(Q1, degre=3)]}, "degre"),
+    ({"experiment": "thm33-check", "families": [HERMITE_EXTRA]}, "max_degree"),
+    ({"experiment": "chaos-check", "sequence": dict(SPREAD, kind=HERMITE_EXTRA),
+      "n_grid": [1]}, "max_degree"),
+    ({"experiment": "bound-check", "vectors": [dict(Q1, kind=HERMITE_EXTRA)]}, "max_degree"),
+], ids=["top", "other-experiment", "tolerance", "tolerance-unread", "sequence", "vector",
+        "families-kind", "sequence-kind", "vector-kind"])
+def test_unread_keys_exit_two(obj, key, tmp_path, capsys):
+    """A key the run would not read is refused, at every level of the config,
+    with a message that names it; no report is written."""
+    cfg = write_config(tmp_path, {**obj, "out": str(tmp_path / "out")})
+    assert main([obj["experiment"], "--config", cfg]) == 2
+    assert repr(key) in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_parse_config_validation():

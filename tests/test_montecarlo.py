@@ -315,7 +315,7 @@ def test_bound_check_evaluates_each_component_once(tmp_path, monkeypatch):
     cfg = experiments.parse_config(obj, out_override=str(tmp_path))
     calls = _count_components(monkeypatch)
     experiments.run(cfg)
-    components = sum(len(experiments.build_test_vector(v)[0]) for v in cfg.vectors)
+    components = sum(len(experiments.build_test_vector(v)[0]) for v in obj["vectors"])
     assert components == 10
     assert len(calls) == len(set(calls)) == 8
 
@@ -357,7 +357,7 @@ def test_bound_check_matches_a_batch_per_vector(n, workers, tmp_path, monkeypatc
     monkeypatch.setattr(montecarlo, "_WORKERS", workers)
     columns, rows, _, _ = experiments._run_bound_check(cfg)
     expected = []
-    for v in cfg.vectors:
+    for v in obj["vectors"]:
         fs, target, name = experiments.build_test_vector(v)
         ts = experiments.t_grid(cfg.t_axis, len(fs), cfg.t_max)
         gaps = cf_gaps(fs, target, ts, sample(fs[0].space, n, cfg.seed))
@@ -412,8 +412,8 @@ def test_bound_check_evaluates_a_shared_component_once_per_chunk(tmp_path, monke
            "vectors": [{"type": "pair_mixed", "p1": 2, "p2": 2, "rho": rho, "n": 2}
                        for rho in (0.0, 0.5)]}
     cfg = experiments.parse_config(obj, out_override=str(tmp_path))
-    f1 = experiments.build_test_vector(cfg.vectors[0])[0][0]
-    f2 = experiments.build_test_vector(cfg.vectors[1])[0][0]
+    f1 = experiments.build_test_vector(obj["vectors"][0])[0][0]
+    f2 = experiments.build_test_vector(obj["vectors"][1])[0][0]
     assert (f1.space.dim, f2.space.dim) == (4, 3)
     assert f1.coeffs == {alpha + (0,): v for alpha, v in f2.coeffs.items()}
     calls = _count_components(monkeypatch)
@@ -421,7 +421,7 @@ def test_bound_check_evaluates_a_shared_component_once_per_chunk(tmp_path, monke
     assert len(calls) == 4 * 3 and len(set(calls)) == 3
     monkeypatch.undo()
     expected = []
-    for v in cfg.vectors:
+    for v in obj["vectors"]:
         fs, target, name = experiments.build_test_vector(v)
         ts = experiments.t_grid(cfg.t_axis, len(fs), cfg.t_max)
         expected += cf_gaps(fs, target, ts, sample(fs[0].space, n, cfg.seed))

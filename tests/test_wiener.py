@@ -241,10 +241,15 @@ def test_product_formula_validation():
 
 @pytest.mark.parametrize("p, m, ok", [
     (17, 1, True), (18, 1, False), (11, 2, True), (12, 2, False),
-    (4, 6, True), (5, 6, False), (2, 1024, True), (2, 1025, False), (1, 10**6, True),
+    (4, 6, True), (5, 6, False), (2, 1024, False), (2, 1025, False), (1, 10**6, False),
+    (1, 101, True), (1, 102, False), (2, 20, True), (2, 21, False), (3, 4, True),
+    (4, 8, True), (4, 9, False),
 ])
 def test_product_formula_size_limit(p, m, ok):
-    """f (x)_1 g has m^(2p-2) entries on 2p-2 axes: at most 2^20 and 32."""
+    """f (x)_1 g has m^(2p-2) entries on 2p-2 axes: at most 2^20 and 32.  The
+    square of I_p(f), C(m+p-1, p) terms on m coordinates, takes at most 2^20
+    steps C(m+p-1, p)^2 * m; that side alone refuses p = 1 past m = 101 and
+    the (2, 1024) whose contraction fits."""
     if ok:
         wiener.check_product_formula_size(p, m)
     else:
