@@ -39,7 +39,6 @@ from .spectral import (
     MultiIndex,
     ProductSpace,
     SpectralFn,
-    Spectrum,
     VectorChaosCheck,
     apply_L,
     apply_Linv,
@@ -61,7 +60,7 @@ __version__ = "0.1.0"
 __all__ = [
     "Basis", "BasisKind", "hermite", "laguerre", "jacobi", "make_basis",
     "gauss_quadrature",
-    "ProductSpace", "product_space", "MultiIndex", "SpectralFn", "Spectrum",
+    "ProductSpace", "product_space", "MultiIndex", "SpectralFn",
     "ChaosCheck", "VectorChaosCheck",
     "inner", "multiply", "apply_L", "apply_Linv", "gamma", "project",
     "spectrum", "eigenfunction_eigenvalue",

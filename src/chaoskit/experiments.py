@@ -450,16 +450,12 @@ def _run_thm33_check(cfg: ExperimentConfig):
         "lhs", "rhs", "margin", "violation",
     ]
     rng = np.random.default_rng(cfg.seed)
-    spaces = {}
     rows: list[list] = []
     failures: list[str] = []
     for i in range(cfg.count):
         kind = cfg.families[i % len(cfg.families)]
         d = int(rng.integers(1, cfg.max_coords + 1))
-        key = (kind, d)
-        if key not in spaces:
-            spaces[key] = product_space(kind, cfg.max_degree, d)
-        space = spaces[key]
+        space = product_space(kind, cfg.max_degree, d)
         f = random_span_function(space, rng)
         lam_max = max(space.eigenvalue(a) for a in f.support())
         eta = lam_max if i % 5 == 0 else lam_max * (1.0 + float(rng.uniform(0, 1)))

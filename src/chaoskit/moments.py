@@ -19,7 +19,7 @@ Tolerances only absorb double-precision rounding.
 from __future__ import annotations
 
 import warnings
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -207,7 +207,8 @@ def remainder_r(f_i: SpectralFn, f_j: SpectralFn, c: GaussianTarget,
 
 @dataclass(frozen=True)
 class FmtReport:
-    """Single-function fourth-moment diagnostics."""
+    """Single-function fourth-moment diagnostics: int F^2, int F^4,
+    Var Gamma(F,F), is_chaotic(F).ok and whether F is centered."""
 
     m2: float
     m4: float
@@ -215,15 +216,13 @@ class FmtReport:
     chaotic: bool
     centered: bool
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
 
 @dataclass(frozen=True, eq=False)
 class JointReport:
-    """Pairwise fourth-moment diagnostics for a vector of eigenfunctions."""
+    """Pairwise fourth-moment diagnostics for a vector of eigenfunctions, one
+    (d, d) matrix per quantity; component i's int F_i^2 and int F_i^4 are the
+    diagonal entries of cov and mixed22."""
 
-    components: tuple[FmtReport, ...]
     eigenvalues: tuple[float, ...]
     cov: np.ndarray
     mixed22: np.ndarray
@@ -233,27 +232,12 @@ class JointReport:
     prop31: float
     chaotic_vector: bool  # is_chaotic_vector(fs).ok; not serialized
 
-    @property
-    def dim(self) -> int:
-        return len(self.components)
-
-    def to_dict(self) -> dict:
-        return {
-            "components": [c.to_dict() for c in self.components],
-            "eigenvalues": list(self.eigenvalues),
-            "cov": self.cov.tolist(),
-            "mixed22": self.mixed22.tolist(),
-            "isserlis": self.isserlis.tolist(),
-            "r_matrix": self.r_matrix.tolist(),
-            "var_gamma": self.var_gamma_m.tolist(),
-            "prop31": self.prop31,
-        }
-
     def csv_rows(self) -> list[list]:
         """One row per ordered pair (i, j), columns as in CSV_COLUMNS."""
+        d = len(self.eigenvalues)
         rows = []
-        for i in range(self.dim):
-            for j in range(self.dim):
+        for i in range(d):
+            for j in range(d):
                 rows.append([
                     i, j, self.eigenvalues[i], self.eigenvalues[j],
                     float(self.cov[i, j]), float(self.mixed22[i, j]),
@@ -263,39 +247,34 @@ class JointReport:
         return rows
 
 
-def _fmt(f: SpectralFn, sq: SpectralFn, chaotic: bool) -> FmtReport:
-    """FmtReport of F from its square and its is_chaotic verdict."""
+def fmt_report(f: SpectralFn, tol: float = CHAOS_TOL) -> FmtReport:
+    """FmtReport of F, with F^2 built once for int F^4 and the chaos check."""
+    sq = multiply(f, f)
+    lam = eigenfunction_eigenvalue(f, tol)
     return FmtReport(
         m2=inner(f, f),
         m4=inner(sq, sq),
         var_gamma=var_gamma(f, f),
-        chaotic=chaotic,
+        chaotic=_vector_chaos((f,), [lam], [sq], tol).ok,
         centered=abs(f.integral()) <= EPS_ORTH,
     )
-
-
-def fmt_report(f: SpectralFn, tol: float = CHAOS_TOL) -> FmtReport:
-    sq = multiply(f, f)
-    lam = eigenfunction_eigenvalue(f, tol)
-    return _fmt(f, sq, _vector_chaos((f,), [lam], [sq], tol).ok)
 
 
 def joint_report(fs: list[SpectralFn] | tuple[SpectralFn, ...],
                  c: GaussianTarget | np.ndarray,
                  tol: float = CHAOS_TOL) -> JointReport:
     """Pairwise diagnostics of a centered eigenfunction vector.  Each F_i^2 and
-    each Gamma(F_i, -L^-1 F_j) is built once; every entry equals fmt_report,
-    mixed22, remainder_r, var_gamma or prop31_bound of the same inputs bit for bit,
-    and chaotic_vector is is_chaotic_vector(fs, tol).ok, decided from the same
-    squares and the d(d-1)/2 cross products F_i F_j."""
+    each Gamma(F_i, -L^-1 F_j) is built once; chaotic_vector is
+    is_chaotic_vector(fs, tol).ok, decided from the same squares and the
+    d(d-1)/2 cross products F_i F_j (7 pair expansions in all at d = 2).
+    Every entry equals inner, mixed22, remainder_r, var_gamma(F_i, -L^-1 F_j)
+    or prop31_bound of the same inputs bit for bit."""
     fs = tuple(fs)
     c = _target(fs, c)
     d = len(fs)
     squares = [multiply(f, f) for f in fs]
     lams = tuple(eigenfunction_eigenvalue(f, tol) for f in fs)
-    chaos = _vector_chaos(fs, lams, squares, tol)
-    diagonal = [chk.ok for i, j, chk in chaos.pairs if i == j]
-    comps = tuple(_fmt(f, sq, ok) for f, sq, ok in zip(fs, squares, diagonal))
+    chaotic = _vector_chaos(fs, lams, squares, tol).ok
     gammas = _gammas(fs)
     cov = _covariance(fs)
     m22 = np.zeros((d, d))
@@ -310,7 +289,6 @@ def joint_report(fs: list[SpectralFn] | tuple[SpectralFn, ...],
                                     cov[i, i], cov[j, j], cov[i, j], m22[i, j])
             vg[i, j] = _variance(gammas[i][j])
     return JointReport(
-        components=comps,
         eigenvalues=lams,
         cov=cov,
         mixed22=m22,
@@ -318,5 +296,5 @@ def joint_report(fs: list[SpectralFn] | tuple[SpectralFn, ...],
         r_matrix=rmat,
         var_gamma_m=vg,
         prop31=_prop31(gammas, c),
-        chaotic_vector=chaos.ok,
+        chaotic_vector=chaotic,
     )

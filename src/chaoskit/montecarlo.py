@@ -5,7 +5,10 @@ disjoint counter range derived from the master seed, so a column's draws
 depend only on (seed, chunk, column, kind), however chunks are scheduled.
 Coordinates follow their basis measure: N(0,1) for Hermite, Gamma(alpha+1, 1)
 for Laguerre, and the [-1,1]-mapped Beta(b, a) for Jacobi(a, b).  `sample`
-writes them into a column-major batch.
+writes them into a column-major batch, one column after another.  With
+`evaluate`, `cf_gap` and `cf_gaps` it is the plain reference that the
+streaming check is tested against; these take only functions on the space
+the batch was drawn on.
 
 Cost model of the characteristic-function check.  It streams CHUNK rows at a
 time.  Per chunk it draws each column some component uses, with the call
@@ -114,26 +117,18 @@ def sample(space: ProductSpace, n: int, seed: int) -> SampleBatch:
     if n < 1:
         raise ValueError("need at least one sample")
     points = np.empty((n, space.dim), order="F")
-
-    def fill(j: int) -> None:
-        kind, column = space.coords[j].kind, points[:, j]
+    for j, basis in enumerate(space.coords):
         for c, start in enumerate(range(0, n, CHUNK)):
             stop = min(start + CHUNK, n)
-            column[start:stop] = _draw(kind, _stream(seed, c, j), stop - start)
-
-    _map(fill, range(space.dim))
+            points[start:stop, j] = _draw(basis.kind, _stream(seed, c, j), stop - start)
     points.setflags(write=False)
     return SampleBatch(space, n, seed, points)
 
 
-def _check_covers(batch: SampleBatch, fs) -> None:
-    """Refuse functions unless the batch's leading columns are draws for
-    their coordinates, with bases that reach their degrees."""
-    for f in fs:
-        if f.space.dim > batch.space.dim or any(
-                b.kind != c.kind or b.max_degree < c.max_degree
-                for b, c in zip(batch.space.coords, f.space.coords)):
-            raise ValueError("the batch does not cover the function's space")
+def _check_space(batch: SampleBatch, fs) -> None:
+    """Refuse functions that do not live on the space the batch was drawn on."""
+    if any(f.space != batch.space for f in fs):
+        raise ValueError("the batch was not drawn on the function's space")
 
 
 def _layout(fns):
@@ -177,11 +172,9 @@ def _component(terms, rows: np.ndarray, out: np.ndarray, tmp: np.ndarray) -> Non
 
 
 def evaluate(f: SpectralFn, batch: SampleBatch) -> np.ndarray:
-    """Pointwise values of F at the batch rows, via recurrence evaluation.
-
-    The batch may be wider than F's space: its leading columns must have F's
-    basis kinds and degree range."""
-    _check_covers(batch, [f])
+    """Pointwise values of F at the rows of a batch drawn on F's space, via
+    recurrence evaluation."""
+    _check_space(batch, [f])
     columns, (terms,), _ = _layout([f])
     rows = np.empty((sum(len(degs) for _, _, degs, _ in columns), batch.n_samples))
     for j, basis, degs, first in columns:
@@ -201,9 +194,12 @@ def cf_gap(fs, c: GaussianTarget | np.ndarray, t, batch: SampleBatch,
 def cf_gaps(fs, c: GaussianTarget | np.ndarray, ts, batch: SampleBatch,
             ) -> list[tuple[float, float]]:
     """`cf_gap` at every t of ts on one batch.  Each component with a nonzero
-    entry in some t is evaluated once per chunk; the gap at t is bit for bit
-    the one `cf_gap` gives alone."""
-    _check_covers(batch, fs)
+    entry in some t is evaluated once per chunk.  The gap and stderr at t are
+    bit for bit those `cf_gap` gives alone unless the entries of some
+    component over ts include both w and w/2: its factor for w is then the
+    square of the one for w/2, which moves them by a few units in the last
+    place."""
+    _check_space(batch, fs)
     return _gaps([(fs, c, ts)], batch.n_samples,
                  lambda chunk, kind, j, start, stop: batch.points[start:stop, j])[0]
 

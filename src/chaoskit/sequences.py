@@ -59,10 +59,12 @@ class SequenceSpec:
         family = obj["family"]
         if family == "spread":
             return cls(family, kind, p=int(obj["p"]))
-        return cls(
-            family, kind,
-            p1=int(obj["p1"]), p2=int(obj["p2"]), rho=float(obj.get("rho", 0.0)),
-        )
+        if family == "pair_mixed":
+            return cls(
+                family, kind,
+                p1=int(obj["p1"]), p2=int(obj["p2"]), rho=float(obj.get("rho", 0.0)),
+            )
+        return cls(family, kind)  # refused by name, before any family key is read
 
 
 def _check_spread(p: int) -> None:

@@ -15,6 +15,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from operator import itemgetter
 
 import numpy as np
 
@@ -167,25 +168,6 @@ class SpectralFn:
         return cls.from_dict(json.loads(text))
 
 
-@dataclass(frozen=True)
-class SpectrumLevel:
-    eigenvalue: float
-    members: tuple[MultiIndex, ...]
-
-
-@dataclass(frozen=True)
-class Spectrum:
-    """Support of a SpectralFn grouped by eigenvalue (ascending)."""
-
-    levels: tuple[SpectrumLevel, ...]
-
-    def eigenvalues(self) -> list[float]:
-        return [lvl.eigenvalue for lvl in self.levels]
-
-    def __len__(self) -> int:
-        return len(self.levels)
-
-
 def _check_same_space(f: SpectralFn, g: SpectralFn) -> None:
     if f.space != g.space:
         raise ValueError("spectral functions live on different product spaces")
@@ -274,26 +256,20 @@ def apply_Linv(f: SpectralFn) -> SpectralFn:
     return SpectralFn(space, out)
 
 
-def spectrum(f: SpectralFn) -> Spectrum:
-    """Group the support of F by eigenvalue with relative tolerance EPS_GROUP."""
-    tagged = sorted(
-        ((f.space.eigenvalue(a), a) for a in f.support()),
-        key=lambda t: (t[0], t[1]),
-    )
-    levels: list[SpectrumLevel] = []
-    cur_anchor: float | None = None
-    cur_members: list[MultiIndex] = []
-    for lam, alpha in tagged:
-        if cur_anchor is None or lam - cur_anchor > EPS_GROUP * (1.0 + abs(cur_anchor)):
-            if cur_anchor is not None:
-                levels.append(SpectrumLevel(cur_anchor, tuple(cur_members)))
-            cur_anchor = lam
-            cur_members = [alpha]
+def spectrum(f: SpectralFn) -> list[tuple[float, list[MultiIndex]]]:
+    """The support of F grouped by eigenvalue, ascending, as (eigenvalue,
+    members) pairs: a level holds each multi-index whose eigenvalue is within
+    relative tolerance EPS_GROUP of its first (smallest), which names it."""
+    levels: list[tuple[float, list[MultiIndex]]] = []
+    # a stable sort by eigenvalue of the ascending support: members ascend too
+    for lam, alpha in sorted(((f.space.eigenvalue(a), a) for a in f.support()),
+                             key=itemgetter(0)):
+        if levels and lam - anchor <= EPS_GROUP * (1.0 + abs(anchor)):
+            members.append(alpha)
         else:
-            cur_members.append(alpha)
-    if cur_anchor is not None:
-        levels.append(SpectrumLevel(cur_anchor, tuple(cur_members)))
-    return Spectrum(tuple(levels))
+            anchor, members = lam, [alpha]
+            levels.append((anchor, members))
+    return levels
 
 
 def project(f: SpectralFn, eigenvalue: float) -> SpectralFn:
@@ -307,7 +283,7 @@ def project(f: SpectralFn, eigenvalue: float) -> SpectralFn:
     return SpectralFn(f.space, kept)
 
 
-def _level_norm(f: SpectralFn, members: tuple[MultiIndex, ...]) -> float:
+def _level_norm(f: SpectralFn, members: list[MultiIndex]) -> float:
     """L2 norm of F's terms on `members`; rescaled by math.hypot, like
     SpectralFn.norm, only where the plain sum of squares leaves the float range."""
     try:
@@ -321,15 +297,11 @@ def eigenfunction_eigenvalue(f: SpectralFn, tol: float = CHAOS_TOL) -> float:
     """Eigenvalue of F, requiring a single spectral level up to relative mass tol."""
     if f.is_zero():
         raise ValueError("the zero function is not an eigenfunction")
-    spec = spectrum(f)
     nrm = f.norm()
-    significant = [lvl for lvl in spec.levels if _level_norm(f, lvl.members) > tol * nrm]
+    significant = [lam for lam, members in spectrum(f) if _level_norm(f, members) > tol * nrm]
     if len(significant) != 1:
-        raise ValueError(
-            "not an eigenfunction: spectral mass on eigenvalues "
-            f"{[lvl.eigenvalue for lvl in significant]}"
-        )
-    return significant[0].eigenvalue
+        raise ValueError(f"not an eigenfunction: spectral mass on eigenvalues {significant}")
+    return significant[0]
 
 
 @dataclass(frozen=True)
@@ -360,11 +332,11 @@ def _membership(prod: SpectralFn, limit: float, tol: float,
     offenders = []
     ok = True
     slack = EPS_GROUP * (1.0 + abs(limit))
-    for lvl in spectrum(prod).levels:
-        if lvl.eigenvalue - limit <= slack:
+    for lam, members in spectrum(prod):
+        if lam - limit <= slack:
             continue
-        mass = _level_norm(prod, lvl.members) / nrm
-        offenders.append((lvl.eigenvalue, mass))
+        mass = _level_norm(prod, members) / nrm
+        offenders.append((lam, mass))
         if mass > tol:
             ok = False
     return ChaosCheck(ok, eigenvalue, limit, tuple(offenders))

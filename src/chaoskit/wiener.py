@@ -176,11 +176,6 @@ def contract(f: SymTensor, g: SymTensor, r: int):
     return out
 
 
-def hermite_space(dim: int, max_degree: int) -> ProductSpace:
-    """Product of `dim` standard-Gaussian coordinates."""
-    return product_space(hermite(), max_degree, dim)
-
-
 def multiple_integral(f: SymTensor, space: ProductSpace | None = None) -> SpectralFn:
     """I_p(f) as a spectral function over the m-coordinate Hermite space.
 
@@ -189,7 +184,7 @@ def multiple_integral(f: SymTensor, space: ProductSpace | None = None) -> Spectr
     default space has degree headroom 2p so squares stay representable.
     """
     if space is None:
-        space = hermite_space(f.dim, 2 * f.order)
+        space = product_space(hermite(), 2 * f.order, f.dim)
     if space.dim != f.dim:
         raise ValueError(
             f"kernel dimension {f.dim} does not match space dimension {space.dim}"
@@ -233,7 +228,7 @@ def product_formula_check(f: SymTensor, g: SymTensor) -> tuple[float, float]:
         raise ValueError("kernels must have equal dimension")
     p = f.order
     check_product_formula_size(p, f.dim)
-    space = hermite_space(f.dim, 2 * p)
+    space = product_space(hermite(), 2 * p, f.dim)
     int_f = multiple_integral(f, space)
     int_g = multiple_integral(g, space)
     top_f = project(multiply(int_f, int_f), 2.0 * p)

@@ -313,16 +313,19 @@ HERMITE_EXTRA = {"kind": "hermite", "params": [], "max_degree": 4}
       "tolerances": {"closedform": 1e-30}}, "closedform"),
     ({"experiment": "bound-check", "vectors": [Q1], "tolerances": {"chaos": 1e-8}}, "chaos"),
     ({"experiment": "fmt-verify", "sequence": dict(SPREAD, p1=3), "n_grid": [1]}, "p1"),
+    ({"experiment": "chaos-check", "sequence": {"family": "spreed", "p": 2},
+      "n_grid": [1]}, "spreed"),
     ({"experiment": "bound-check", "vectors": [dict(Q1, degre=3)]}, "degre"),
     ({"experiment": "thm33-check", "families": [HERMITE_EXTRA]}, "max_degree"),
     ({"experiment": "chaos-check", "sequence": dict(SPREAD, kind=HERMITE_EXTRA),
       "n_grid": [1]}, "max_degree"),
     ({"experiment": "bound-check", "vectors": [dict(Q1, kind=HERMITE_EXTRA)]}, "max_degree"),
-], ids=["top", "other-experiment", "tolerance", "tolerance-unread", "sequence", "vector",
-        "families-kind", "sequence-kind", "vector-kind"])
+], ids=["top", "other-experiment", "tolerance", "tolerance-unread", "sequence",
+        "sequence-family", "vector", "families-kind", "sequence-kind", "vector-kind"])
 def test_unread_keys_exit_two(obj, key, tmp_path, capsys):
-    """A key the run would not read is refused, at every level of the config,
-    with a message that names it; no report is written."""
+    """A key the run would not read, or a sequence family it does not know, is
+    refused at every level of the config with a message that names it; no
+    report is written."""
     cfg = write_config(tmp_path, {**obj, "out": str(tmp_path / "out")})
     assert main([obj["experiment"], "--config", cfg]) == 2
     assert repr(key) in capsys.readouterr().err

@@ -1,12 +1,14 @@
 """Byte identity of the exact-algebra reports.
 
-Each shipped config below runs in-process and its `report.csv` must hash to
-the pinned sha256.  These four reports are pure coefficient algebra, so a
-refactor that moves any byte is a numerical change.  A deliberate numerical
-change updates these hashes, and CHANGES.md lists the rows it moved and why.
-bound_check.json (vectorized `exp`, sampling) and product_formula.json (BLAS
-`tensordot`) may differ in the last bit across machines; `golden_digests.py`
-covers them between two checkouts on one machine.
+Each shipped config below runs in-process, and its `report.csv` and its
+`report.json` (with the output directory replaced by `<out>`, as
+`golden_digests.py` does) must hash to the pinned sha256.  These four
+reports are pure coefficient algebra, so a refactor that moves any byte is a
+numerical change.  A deliberate numerical change updates these hashes, and
+CHANGES.md lists the rows it moved and why.  bound_check.json (vectorized
+`exp`, sampling) and product_formula.json (BLAS `tensordot`) may differ in
+the last bit across machines; `golden_digests.py` covers them between two
+checkouts on one machine.
 """
 
 from __future__ import annotations
@@ -26,9 +28,22 @@ CSV_SHA256 = {
     "joint_pair": "d583b3fe9347ae3dd4ee6ae19ac2ef2a60da6cc6751c1a588fb7cf201f7defed",
     "thm33": "6f3370b4a8efe7bb699ff802f8bcd361849daa97cd24fac2d9c77cb6deaad38c",
 }
+JSON_SHA256 = {
+    "chaos_hermite2": "fb7f85e58669076496d8c8ff5813f5f68ab588afbb71ce24ad5deadf8e9bc8aa",
+    "fmt_hermite2": "ffbd690b78ccbed8f5d1eb924acfc9d0087ad971ef64fbfff773eb96c9835c1e",
+    "joint_pair": "2b5d94a0e0424620dbe361efde338f4a52ef7d43274c7bfca4cd401528da849f",
+    "thm33": "41cea22781fab063c5343cc6f5d2efa78e9361d7bab622862349f2b2d4819cb0",
+}
 
 
 @pytest.mark.parametrize("name", sorted(CSV_SHA256))
 def test_report_csv_digest(name, tmp_path):
     result = run(load_config(CONFIGS / f"{name}.json", out_override=str(tmp_path)))
     assert hashlib.sha256(result.report_csv.read_bytes()).hexdigest() == CSV_SHA256[name]
+
+
+@pytest.mark.parametrize("name", sorted(JSON_SHA256))
+def test_report_json_digest(name, tmp_path):
+    result = run(load_config(CONFIGS / f"{name}.json", out_override=str(tmp_path)))
+    report = result.report_json.read_bytes().replace(str(tmp_path).encode(), b"<out>")
+    assert hashlib.sha256(report).hexdigest() == JSON_SHA256[name]

@@ -259,7 +259,6 @@ def test_fmt_report_examples():
     rep = fmt_report(H1.unit())
     assert rep.m2 == 1.0 and rep.m4 == 1.0 and rep.var_gamma == 0.0
     assert not rep.centered  # degenerate constant flagged
-    assert list(rep.to_dict()) == ["m2", "m4", "var_gamma", "chaotic", "centered"]
 
 
 def test_joint_report_independent_pair():
@@ -278,8 +277,6 @@ def test_joint_report_dict_and_csv_schema():
 
     fs = (q(H2, 2, 0), q(H2, 0, 2))
     rep = joint_report(fs, np.eye(2))
-    d = rep.to_dict()
-    assert set(d) >= {"components", "cov", "mixed22", "isserlis", "r_matrix", "prop31"}
     assert CSV_COLUMNS == (
         "i", "j", "lambda_i", "lambda_j", "cov", "mixed22", "isserlis", "r_ij",
         "var_gamma_ij",
@@ -298,7 +295,8 @@ def test_joint_report_matches_pair_api_bitwise(kind, p1, p2, rho):
     c = GaussianTarget(np.array([[inner(f, g) for g in fs] for f in fs]))
     rep = joint_report(fs, c)
     for i, fi in enumerate(fs):
-        assert rep.components[i] == fmt_report(fi)
+        rep_i = fmt_report(fi)
+        assert (rep.cov[i, i], rep.mixed22[i, i]) == (rep_i.m2, rep_i.m4)
         for j, fj in enumerate(fs):
             assert rep.cov[i, j] == inner(fi, fj)
             assert rep.mixed22[i, j] == mixed22(fi, fj)

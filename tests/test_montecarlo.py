@@ -47,9 +47,9 @@ def test_fixed_seed_reproduces_batches():
     assert not np.array_equal(b1.points, b3.points)
 
 
-def test_sample_columns_match_serial_reference(monkeypatch):
-    """The column-major batch filled on the pool holds, bit for bit, the draws
-    of each (chunk, coordinate) stream placed by position."""
+def test_sample_columns_match_serial_reference():
+    """The column-major batch holds, bit for bit, the draws of each
+    (chunk, coordinate) stream placed by position."""
     space = ProductSpace(tuple(make_basis(kind, 4) for kind in (
         hermite(), laguerre(0.5), jacobi(2.0, 3.0), hermite(), laguerre(0.0))))
     n = 2 * CHUNK + 17
@@ -59,13 +59,7 @@ def test_sample_columns_match_serial_reference(monkeypatch):
             stop = min(start + CHUNK, n)
             ref[start:stop, j] = montecarlo._draw(
                 basis.kind, montecarlo._stream(5, c, j), stop - start)
-    monkeypatch.setattr(montecarlo, "_WORKERS", 2)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        points = sample(space, n, seed=5).points
-    finally:
-        sys.setswitchinterval(interval)
+    points = sample(space, n, seed=5).points
     assert points.flags.f_contiguous and points.shape == (n, space.dim)
     assert np.array_equal(points, ref)
     assert points.tobytes(order="C") == ref.tobytes()
@@ -191,20 +185,19 @@ def test_evaluate_space_mismatch():
 
 
 def test_evaluate_on_a_wider_batch():
-    """A batch whose leading columns have a function's kinds and degree range
-    evaluates it bit for bit as a batch of its own space; any other batch is
-    refused, by evaluate and by cf_gaps."""
+    """A batch evaluates only functions on the space it was drawn on: a batch
+    wider than a function's space is refused, like one of another kind, width
+    or degree range, by evaluate and by cf_gap."""
     space = product_space(hermite(), 6, 3)
     batch = sample(space, 1000, seed=13)
+    assert evaluate(spread(hermite(), 3, 3), batch).shape == (1000,)  # on its space
     narrow = spread(hermite(), 3, 2)
     assert narrow.space.dim == 2 and narrow.space.coords[0].max_degree == 6
-    assert (evaluate(narrow, batch).tobytes()
-            == evaluate(narrow, sample(narrow.space, 1000, seed=13)).tobytes())
-    for other in (spread(laguerre(0.5), 1, 1), spread(hermite(), 1, 4),
-                  spread(hermite(), 4, 1)):  # kind, width, degree range
-        with pytest.raises(ValueError, match="does not cover"):
+    for other in (narrow, spread(laguerre(0.5), 1, 1), spread(hermite(), 1, 4),
+                  spread(hermite(), 4, 1)):  # width, kind, width, degree range
+        with pytest.raises(ValueError, match="not drawn on the function's space"):
             evaluate(other, batch)
-        with pytest.raises(ValueError, match="does not cover"):
+        with pytest.raises(ValueError, match="not drawn on the function's space"):
             cf_gap([other], np.eye(1), [1.0], batch)
 
 
@@ -241,17 +234,29 @@ def test_cf_gap_validation():
         cf_gaps(fs, np.eye(1), [[1.0, 0.0], [0.0, 1.0]], batch)
 
 
-@pytest.mark.parametrize("fs, ts", [
-    ((spread(hermite(), 2, 1),), [[0.0], [0.5], [1.0], [2.5]]),
-    ((spread(laguerre(0.5), 2, 1),), [[0.25], [0.0], [2.0]]),
-    ((spread(jacobi(2.0, 3.0), 2, 1),), [[1.0], [-0.5], [0.0]]),
+@pytest.mark.parametrize("fs, ts, n, seed", [
+    ((spread(hermite(), 2, 1),), [[0.0], [0.5], [1.0], [2.5]], 5000, 4),
+    ((spread(laguerre(0.5), 2, 1),), [[0.25], [0.0], [2.0]], 5000, 4),
+    ((spread(jacobi(2.0, 3.0), 2, 1),), [[1.0], [-0.5], [0.0]], 5000, 4),
     (pair_mixed(2, 2, 0.5, 4), [[0.0, 1.0], [0.5, 0.0], [1.0, 2.0], [0.0, 0.0],
-                                [-0.25, 0.75]]),
-], ids=["hermite", "laguerre", "jacobi", "pair"])
-def test_cf_gaps_equals_cf_gap_at_each_t(fs, ts):
+                                [-0.25, 0.75]], 5000, 4),
+    ((spread(laguerre(0.5), 1, 1),), [[0.25], [0.5]], 20_000, 7),
+], ids=["hermite", "laguerre", "jacobi", "pair", "laguerre-half-frequency"])
+def test_cf_gaps_equals_cf_gap_at_each_t(fs, ts, n, seed):
+    """cf_gaps at each t is cf_gap alone bit for bit where no component's
+    frequencies hold both w and w/2.  Where they do, the factor for w is the
+    square of the one for w/2, and gap and stderr stay within 1e-14: for
+    Laguerre(1/2)-Q1 at t = 0.5 next to 0.25 (20,000 samples, seed 7) the
+    gap moved from 0.030117915998222805 to 0.0301179159982228 on x86-64."""
     c = np.array([[inner(f, g) for g in fs] for f in fs])
-    batch = sample(fs[0].space, 5000, seed=4)
-    assert cf_gaps(fs, c, ts, batch) == [cf_gap(fs, c, t, batch) for t in ts]
+    batch = sample(fs[0].space, n, seed=seed)
+    together = cf_gaps(fs, c, ts, batch)
+    alone = [cf_gap(fs, c, t, batch) for t in ts]
+    freqs = [{t[k] for t in ts if t[k] != 0.0} for k in range(len(fs))]
+    if not any(w / 2 in ws for ws in freqs for w in ws):
+        assert together == alone
+    for (gap, stderr), (ref_gap, ref_stderr) in zip(together, alone):
+        assert abs(gap - ref_gap) <= 1e-14 and abs(stderr - ref_stderr) <= 1e-14
 
 
 def _cf_gaps_full_arrays(fs, c, ts, batch):

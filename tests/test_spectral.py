@@ -304,16 +304,16 @@ def test_project_examples():
     rng = np.random.default_rng(10)
     g = random_fn(H2, rng)
     total = sum(
-        (project(g, lvl) for lvl in spectrum(g).eigenvalues()),
+        (project(g, lvl) for lvl, _ in spectrum(g)),
         SpectralFn(H2, {}),
     )
     assert total.coeffs == g.coeffs  # exact reassembly
 
 
 def test_spectrum_examples():
-    assert spectrum(q(H1, 1) + q(H1, 2)).eigenvalues() == [1.0, 2.0]
-    assert spectrum(H1.unit()).eigenvalues() == [0.0]
-    assert spectrum(q(H2, 1, 1)).eigenvalues() == [2.0]
+    assert spectrum(q(H1, 1) + q(H1, 2)) == [(1.0, [(1,)]), (2.0, [(2,)])]
+    assert spectrum(H1.unit()) == [(0.0, [(0,)])]
+    assert spectrum(q(H2, 1, 1)) == [(2.0, [(1, 1)])]
 
 
 def test_norm_is_integral_of_square_by_quadrature():
@@ -337,7 +337,7 @@ def test_spectrum_parseval_across_groups():
     rng = np.random.default_rng(11)
     space = product_space(jacobi(2.0, 2.0), 5, 2)
     f = random_fn(space, rng, 8)
-    total = sum(project(f, lvl).norm2() for lvl in spectrum(f).eigenvalues())
+    total = sum(project(f, lvl).norm2() for lvl, _ in spectrum(f))
     assert abs(total - f.norm2()) <= 1e-12 * (1 + f.norm2())
 
 
@@ -442,7 +442,7 @@ def test_level_masses_finite_where_squares_overflow():
 def test_chaotic_vector_examples():
     """The vector's i = j entries are is_chaotic(F_i) (limit 2 lambda_i, eigenvalue
     lambda_i), its i < j entries is_jointly_chaotic(F_i, F_j), field for field,
-    and joint_report's component and vector verdicts read the same checks."""
+    and joint_report's vector verdict reads the same checks."""
     assert is_chaotic_vector((q(H1, 1), q(H1, 2))).ok
     single = is_chaotic_vector((q(H1, 2),))
     assert single.ok == is_chaotic(q(H1, 2)).ok
@@ -456,8 +456,6 @@ def test_chaotic_vector_examples():
             assert bool(chk.offenders) is not chaotic  # Jacobi: lambda_4 > 2 lambda_2
         assert verdict.ok is chaotic
         rep = joint_report(fs, GaussianTarget([[inner(f, g) for g in fs] for f in fs]))
-        assert [c.chaotic for c in rep.components] == [
-            chk.ok for i, j, chk in verdict.pairs if i == j]
         assert rep.chaotic_vector is verdict.ok
 
 
