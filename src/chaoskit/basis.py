@@ -155,6 +155,11 @@ class Basis:
     rec_b: np.ndarray
     eigenvalues: np.ndarray
     _lin_cache: OrderedDict = field(default_factory=OrderedDict, repr=False)
+    # the eigenvalues as Python floats, which index and sum faster than numpy scalars
+    eigenvalue_list: list = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "eigenvalue_list", self.eigenvalues.tolist())
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Basis):

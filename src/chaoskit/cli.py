@@ -4,7 +4,8 @@
 
 Writes report.json and report.csv into the output directory.  Exit codes:
 0 all gated checks passed, 1 a check failed (the failing rows are named on
-stderr), 2 configuration error.
+stderr), 2 configuration error or an output directory that cannot be made or
+written.
 """
 
 from __future__ import annotations
@@ -41,6 +42,9 @@ def main(argv: list[str] | None = None) -> int:
         result = run(cfg)
     except ConfigError as exc:
         print(f"chaoskit: config error: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:  # from run: only the output directory is written
+        print(f"chaoskit: cannot write reports to {cfg.out}: {exc}", file=sys.stderr)
         return 2
     print(f"report.json: {result.report_json}")
     print(f"report.csv:  {result.report_csv}")

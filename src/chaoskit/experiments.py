@@ -12,6 +12,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import os
 from dataclasses import MISSING, dataclass, field, fields
 from functools import partial
 from pathlib import Path
@@ -218,6 +219,8 @@ def load_config(path: str | Path, seed_override: int | None = None,
 
 
 def _fmt_cell(v) -> str:
+    if type(v) is float:  # most cells; not np.float64, a float subclass
+        return f"{v:.17g}"
     if isinstance(v, bool):
         return "true" if v else "false"
     if isinstance(v, (int, np.integer)):
@@ -227,10 +230,17 @@ def _fmt_cell(v) -> str:
     return str(v)
 
 
+def _overwrite(path: Path, text: str) -> None:
+    """Write text over the file's bytes, then cut it to length: the same file as
+    open(path, "w") leaves, without truncating an existing report first."""
+    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "w") as fh:
+        fh.write(text)
+        fh.truncate()
+
+
 def _write_reports(cfg: ExperimentConfig, columns: list[str], rows: list[list],
                    summary: dict, failures: list[str]) -> RunResult:
     passed = not failures
-    cfg.out.mkdir(parents=True, exist_ok=True)
     jpath = cfg.out / "report.json"
     cpath = cfg.out / "report.csv"
     payload = {
@@ -243,12 +253,10 @@ def _write_reports(cfg: ExperimentConfig, columns: list[str], rows: list[list],
         "passed": passed,
         "failures": failures,
     }
-    with open(jpath, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _overwrite(jpath, json.dumps(payload, indent=2, sort_keys=True) + "\n")
     lines = [",".join(columns)]
     lines.extend(",".join(_fmt_cell(v) for v in row) for row in rows)
-    cpath.write_text("\n".join(lines) + "\n")
+    _overwrite(cpath, "\n".join(lines) + "\n")
     return RunResult(passed, failures, jpath, cpath)
 
 
@@ -522,6 +530,9 @@ EXPERIMENTS = tuple(_EXPERIMENTS)
 
 
 def run(cfg: ExperimentConfig) -> RunResult:
-    """Run one experiment; writes report.json / report.csv under cfg.out."""
+    """Run one experiment; writes report.json / report.csv under cfg.out, which
+    is created first.  Raises OSError where that directory cannot be made or
+    written."""
+    cfg.out.mkdir(parents=True, exist_ok=True)
     columns, rows, summary, failures = _EXPERIMENTS[cfg.experiment][2](cfg)
     return _write_reports(cfg, columns, rows, summary, failures)

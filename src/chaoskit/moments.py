@@ -113,9 +113,8 @@ def thm33_sides(f: SpectralFn, eta: float) -> tuple[float, float]:
     never exceeds the right (up to rounding).  A violated precondition is
     reported with a warning; the values are still returned for diagnostics.
     """
-    top = max(
-        (f.space.eigenvalue(a) for a in f.support()), default=0.0
-    )
+    terms = [(v, f.space.eigenvalue(alpha)) for alpha, v in f.items_sorted()]
+    top = max((lam for _, lam in terms), default=0.0)
     if eta < top - EPS_GROUP * (1.0 + abs(top)):
         warnings.warn(
             f"eta = {eta} below the top eigenvalue {top}; inequality not guaranteed",
@@ -123,8 +122,8 @@ def thm33_sides(f: SpectralFn, eta: float) -> tuple[float, float]:
         )
     lhs = 0.0
     rhs = 0.0
-    for alpha, v in f.items_sorted():
-        gap = eta - f.space.eigenvalue(alpha)
+    for v, lam in terms:
+        gap = eta - lam
         lhs += v * v * gap * gap
         rhs += v * v * gap
     return lhs, eta * rhs

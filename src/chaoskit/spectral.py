@@ -52,7 +52,7 @@ class ProductSpace:
                 )
 
     def eigenvalue(self, alpha: MultiIndex) -> float:
-        return float(sum(b.eigenvalue(d) for d, b in zip(alpha, self.coords)))
+        return float(sum([b.eigenvalue_list[d] for d, b in zip(alpha, self.coords)]))
 
     def zero_index(self) -> MultiIndex:
         return (0,) * self.dim
@@ -83,7 +83,7 @@ class SpectralFn:
             alpha = tuple(int(d) for d in alpha)
             self.space.validate_index(alpha)
             value = float(value)
-            if not np.isfinite(value):
+            if not math.isfinite(value):
                 raise ValueError(f"non-finite coefficient at {alpha}")
             if value != 0.0:
                 clean[alpha] = value
@@ -114,7 +114,7 @@ class SpectralFn:
         return not self.coeffs
 
     def scale(self, c: float) -> "SpectralFn":
-        return SpectralFn(self.space, {a: c * v for a, v in self.items_sorted()})
+        return _result(self.space, {a: c * v for a, v in self.items_sorted()})
 
     def __neg__(self) -> "SpectralFn":
         return self.scale(-1.0)
@@ -129,7 +129,7 @@ class SpectralFn:
         acc = dict(self.items_sorted())
         for alpha, v in other.items_sorted():
             acc[alpha] = acc.get(alpha, 0.0) + v
-        return SpectralFn(self.space, acc)
+        return _result(self.space, acc)
 
     def __sub__(self, other: "SpectralFn") -> "SpectralFn":
         return self + (-other)
@@ -139,7 +139,7 @@ class SpectralFn:
         acc = dict(self.items_sorted())
         zero = self.space.zero_index()
         acc[zero] = acc.get(zero, 0.0) + float(c)
-        return SpectralFn(self.space, acc)
+        return _result(self.space, acc)
 
     # -- serialization ------------------------------------------------------
 
@@ -166,6 +166,23 @@ class SpectralFn:
     @classmethod
     def from_json(cls, text: str) -> "SpectralFn":
         return cls.from_dict(json.loads(text))
+
+
+def _result(space: ProductSpace, coeffs: dict) -> SpectralFn:
+    """SpectralFn(space, coeffs) for keys the algebra built from validated
+    operands: each value is converted, checked and dropped at zero as there,
+    but the keys, already int tuples in range, are not validated again."""
+    clean: dict[MultiIndex, float] = {}
+    for alpha, value in coeffs.items():
+        value = float(value)
+        if not math.isfinite(value):
+            raise ValueError(f"non-finite coefficient at {alpha}")
+        if value != 0.0:
+            clean[alpha] = value
+    out = object.__new__(SpectralFn)
+    object.__setattr__(out, "space", space)
+    object.__setattr__(out, "coeffs", clean)
+    return out
 
 
 def _check_same_space(f: SpectralFn, g: SpectralFn) -> None:
@@ -220,7 +237,7 @@ def _pair_expand(f: SpectralFn, g: SpectralFn, carre: bool) -> SpectralFn:
                 lam = space.coords[i].eigenvalues
                 gam = 0.5 * (lam[alpha[i]] + lam[beta[i]] - lam[: c.size]) * c
                 _accumulate(acc, fixed, base, [*expand[:j], (i, gam), *expand[j + 1:]], 0)
-    return SpectralFn(space, acc)
+    return _result(space, acc)
 
 
 def _accumulate(acc: dict, idx: tuple, value: float,
@@ -240,9 +257,7 @@ def _accumulate(acc: dict, idx: tuple, value: float,
 def apply_L(f: SpectralFn) -> SpectralFn:
     """Generator action: coefficient at alpha becomes -Lambda(alpha) F_alpha."""
     space = f.space
-    return SpectralFn(
-        space, {a: -space.eigenvalue(a) * v for a, v in f.items_sorted()}
-    )
+    return _result(space, {a: -space.eigenvalue(a) * v for a, v in f.items_sorted()})
 
 
 def apply_Linv(f: SpectralFn) -> SpectralFn:
@@ -253,7 +268,7 @@ def apply_Linv(f: SpectralFn) -> SpectralFn:
         lam = space.eigenvalue(alpha)
         if lam != 0.0:
             out[alpha] = -v / lam
-    return SpectralFn(space, out)
+    return _result(space, out)
 
 
 def spectrum(f: SpectralFn) -> list[tuple[float, list[MultiIndex]]]:
@@ -280,7 +295,7 @@ def project(f: SpectralFn, eigenvalue: float) -> SpectralFn:
         for a, v in f.items_sorted()
         if abs(f.space.eigenvalue(a) - eigenvalue) <= tol
     }
-    return SpectralFn(f.space, kept)
+    return _result(f.space, kept)
 
 
 def _level_norm(f: SpectralFn, members: list[MultiIndex]) -> float:

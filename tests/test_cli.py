@@ -50,6 +50,20 @@ def test_fmt_verify_run(tmp_path, capsys):
     assert abs(report["summary"]["m4_sup"] - 15.0) < 1e-9
 
 
+def test_exit_code_two_on_unwritable_out(tmp_path, capsys):
+    """An --out naming a file, or a report path a directory holds, exits 2
+    with a message naming the path instead of a traceback."""
+    cfg = fmt_config(tmp_path)
+    a_file = tmp_path / "a-file"
+    a_file.write_text("")
+    assert main(["fmt-verify", "--config", cfg, "--out", str(a_file)]) == 2
+    assert f"cannot write reports to {a_file}" in capsys.readouterr().err
+    taken = tmp_path / "taken"
+    (taken / "report.json").mkdir(parents=True)
+    assert main(["fmt-verify", "--config", cfg, "--out", str(taken)]) == 2
+    assert str(taken / "report.json") in capsys.readouterr().err
+
+
 def test_exit_code_two_on_config_errors(tmp_path, capsys):
     assert main(["fmt-verify", "--config", str(tmp_path / "missing.json")]) == 2
     bad = write_config(tmp_path, {"experiment": "fmt-verify", "sequence": SPREAD,

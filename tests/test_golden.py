@@ -2,7 +2,8 @@
 
 Each shipped config below runs in-process, and its `report.csv` and its
 `report.json` (with the output directory replaced by `<out>`, as
-`golden_digests.py` does) must hash to the pinned sha256.  These four
+`golden_digests.py` does) must hash to the pinned sha256, also when it is
+rerun over longer reports of an earlier run.  These four
 reports are pure coefficient algebra, so a refactor that moves any byte is a
 numerical change.  A deliberate numerical change updates these hashes, and
 CHANGES.md lists the rows it moved and why.  bound_check.json (vectorized
@@ -14,6 +15,7 @@ checkouts on one machine.
 from __future__ import annotations
 
 import hashlib
+import stat
 from pathlib import Path
 
 import pytest
@@ -45,5 +47,24 @@ def test_report_csv_digest(name, tmp_path):
 @pytest.mark.parametrize("name", sorted(JSON_SHA256))
 def test_report_json_digest(name, tmp_path):
     result = run(load_config(CONFIGS / f"{name}.json", out_override=str(tmp_path)))
+    report = result.report_json.read_bytes().replace(str(tmp_path).encode(), b"<out>")
+    assert hashlib.sha256(report).hexdigest() == JSON_SHA256[name]
+
+
+@pytest.mark.parametrize("name", sorted(CSV_SHA256))
+def test_reports_rewritten_in_place(name, tmp_path):
+    """Reports are created with the mode open(path, "w") gives under the
+    current umask, and a rerun over longer ones leaves exactly the new bytes."""
+    cfg = load_config(CONFIGS / f"{name}.json", out_override=str(tmp_path))
+    first = run(cfg)
+    with open(tmp_path / "reference", "w"):
+        pass
+    mode = stat.S_IMODE((tmp_path / "reference").stat().st_mode)
+    for path in (first.report_csv, first.report_json):
+        assert stat.S_IMODE(path.stat().st_mode) == mode
+        with open(path, "a") as fh:
+            fh.write("stale,row\n" * 1000)
+    result = run(cfg)
+    assert hashlib.sha256(result.report_csv.read_bytes()).hexdigest() == CSV_SHA256[name]
     report = result.report_json.read_bytes().replace(str(tmp_path).encode(), b"<out>")
     assert hashlib.sha256(report).hexdigest() == JSON_SHA256[name]

@@ -4,7 +4,7 @@ Random spaces (Hermite, Laguerre(alpha), Jacobi(a, b); one or two coordinates
 of max_degree 16) carry random sparse functions of degree at most 5 per
 coordinate, so every triple product stays representable.  A second strategy
 draws elements of the p-th Hermite chaos, where the fourth-moment bound on
-Var Gamma is checked.  The runs are derandomized and keep no example
+Var Gamma is checked.  Mixed spaces draw each coordinate's family on its own.  The runs are derandomized and keep no example
 database, so they repeat exactly.
 """
 
@@ -15,8 +15,9 @@ import itertools
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chaoskit import SpectralFn, apply_L, apply_Linv, gamma, hermite, inner, jacobi, laguerre
-from chaoskit import moment4, multiply, product_space, var_gamma
+from chaoskit import ProductSpace, SpectralFn, apply_L, apply_Linv, gamma, hermite, inner
+from chaoskit import jacobi, laguerre, make_basis, moment4, multiply, product_space, project
+from chaoskit import var_gamma
 
 MAX_DEGREE = 16
 TERM_DEGREE = 5  # 3 * 5 <= 16: (FG)H and Gamma(FG, H) fit in the space
@@ -32,9 +33,14 @@ kinds = st.one_of(
 
 
 @st.composite
-def functions(draw, count):
-    """`count` random functions on one random space."""
-    space = product_space(draw(kinds), MAX_DEGREE, draw(st.integers(1, 2)))
+def functions(draw, count, mixed=False):
+    """`count` random functions on one random space; with `mixed`, on two or
+    three coordinates whose families are drawn one by one."""
+    if mixed:
+        coords = draw(st.lists(kinds, min_size=2, max_size=3))
+        space = ProductSpace(tuple(make_basis(kind, MAX_DEGREE) for kind in coords))
+    else:
+        space = product_space(draw(kinds), MAX_DEGREE, draw(st.integers(1, 2)))
     index = st.tuples(*[st.integers(0, TERM_DEGREE)] * space.dim)
     coeffs = st.dictionaries(index, st.floats(-1.0, 1.0).filter(bool), min_size=1, max_size=4)
     return [SpectralFn(space, draw(coeffs)) for _ in range(count)]
@@ -86,6 +92,21 @@ def test_carre_du_champ_nonnegative(fh):
     f, h = fh
     g, h2 = gamma(f, f), multiply(h, h)
     assert inner(g, h2) >= -1e-12 * g.norm() * h2.norm()
+
+
+@PROPERTY_SETTINGS
+@given(st.one_of(functions(2), functions(2, mixed=True)))
+def test_algebra_results_valid_as_built(fg):
+    """The algebra builds its results without validating their keys again;
+    the validating constructor gives each back as the same dict, of int-tuple
+    keys and float values."""
+    f, g = fg
+    fg = multiply(f, g)
+    level = fg.space.eigenvalue(next(iter(fg.coeffs))) if fg.coeffs else 0.0
+    for h in (fg, gamma(f, g), project(fg, level), apply_L(f), apply_Linv(f)):
+        assert list(SpectralFn(h.space, h.coeffs).coeffs.items()) == list(h.coeffs.items())
+        assert all(type(d) is int for alpha in h.coeffs for d in alpha)
+        assert all(type(v) is float for v in h.coeffs.values())
 
 
 @st.composite

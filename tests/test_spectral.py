@@ -408,6 +408,37 @@ def test_overflowing_product_raises_instead_of_passing():
         _membership(huge, limit=2.0, tol=1e-8, eigenvalue=1.0)
 
 
+def test_algebra_results_refuse_overflow():
+    """Results built without re-validating their keys still refuse a
+    non-finite coefficient.  L multiplies by eigenvalues of at most 2 * 3
+    here, so its input sits nearer the float limit than the products'."""
+    space = product_space(hermite(), 3, 2)
+    f = SpectralFn(space, {(1, 1): 1e200, (0, 1): 1e200})
+    for op in (multiply, gamma):
+        with pytest.raises(ValueError, match=r"non-finite coefficient at \("):
+            op(f, f)
+    with pytest.raises(ValueError, match=r"non-finite coefficient at \("):
+        apply_L(SpectralFn(space, {(1, 1): 1.5e308}))
+
+
+def test_space_eigenvalue_bit_for_bit_from_coordinates():
+    """ProductSpace.eigenvalue sums each coordinate's eigenvalue in order, to
+    the bit, on every family up to its top degree (Laguerre refuses past 361)
+    and on mixed spaces."""
+    bases = [make_basis(hermite(), 512), make_basis(laguerre(0.0), 361),
+             make_basis(jacobi(2.0, 3.0), 512)]
+    spaces = [ProductSpace((b,) * d) for b in bases for d in (1, 3)]
+    spaces += [ProductSpace(tuple(bases)), ProductSpace(tuple(reversed(bases)))]
+    rng = np.random.default_rng(16)
+    for space in spaces:
+        tops = [b.max_degree for b in space.coords]
+        alphas = [tuple(min(k, top) for top in tops) for k in range(513)]
+        alphas += [tuple(int(rng.integers(0, top + 1)) for top in tops) for _ in range(500)]
+        for alpha in alphas:
+            ref = float(sum(b.eigenvalue(d) for d, b in zip(alpha, space.coords)))
+            assert space.eigenvalue(alpha).hex() == ref.hex(), (space, alpha)
+
+
 def test_norm_finite_where_sum_of_squares_overflows():
     """Q_180^2 on Laguerre(0) has coefficients up to 1.15e169: the sum of
     squares overflows, the norm does not, and Q_180 is chaotic."""
