@@ -170,7 +170,7 @@ class Basis:
         return hash((self.kind, self.max_degree))
 
     def eigenvalue(self, p: int) -> float:
-        return float(self.eigenvalues[p])
+        return self.eigenvalue_list[p]
 
     def eval_all(self, x: np.ndarray, deg: int | None = None,
                  out: np.ndarray | None = None) -> np.ndarray:

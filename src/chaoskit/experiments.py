@@ -219,21 +219,22 @@ def load_config(path: str | Path, seed_override: int | None = None,
 
 
 def _fmt_cell(v) -> str:
-    if type(v) is float:  # most cells; not np.float64, a float subclass
-        return f"{v:.17g}"
+    if isinstance(v, (float, np.floating)):
+        return f"{float(v):.17g}"
     if isinstance(v, bool):
         return "true" if v else "false"
     if isinstance(v, (int, np.integer)):
         return str(int(v))
-    if isinstance(v, (float, np.floating)):
-        return f"{float(v):.17g}"
     return str(v)
 
 
 def _overwrite(path: Path, text: str) -> None:
-    """Write text over the file's bytes, then cut it to length: the same file as
-    open(path, "w") leaves, without truncating an existing report first."""
-    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "w") as fh:
+    """Write text over the file's bytes, then cut it to length, without
+    truncating an existing report first.  A completed call leaves the bytes and
+    created-file mode of open(path, "w"); one cut short between the write and
+    the cut leaves the old file's tail after the new text."""
+    flags = os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0)
+    with open(os.open(path, flags, 0o666), "w") as fh:
         fh.write(text)
         fh.truncate()
 

@@ -52,7 +52,7 @@ class ProductSpace:
                 )
 
     def eigenvalue(self, alpha: MultiIndex) -> float:
-        return float(sum([b.eigenvalue_list[d] for d, b in zip(alpha, self.coords)]))
+        return sum([b.eigenvalue_list[d] for d, b in zip(alpha, self.coords)])
 
     def zero_index(self) -> MultiIndex:
         return (0,) * self.dim
@@ -78,16 +78,10 @@ class SpectralFn:
     coeffs: dict
 
     def __post_init__(self) -> None:
-        clean: dict[MultiIndex, float] = {}
-        for alpha, value in self.coeffs.items():
-            alpha = tuple(int(d) for d in alpha)
+        keys = [tuple(int(d) for d in alpha) for alpha in self.coeffs]
+        for alpha in keys:
             self.space.validate_index(alpha)
-            value = float(value)
-            if not math.isfinite(value):
-                raise ValueError(f"non-finite coefficient at {alpha}")
-            if value != 0.0:
-                clean[alpha] = value
-        object.__setattr__(self, "coeffs", clean)
+        object.__setattr__(self, "coeffs", _clean_values(zip(keys, self.coeffs.values())))
 
     def items_sorted(self) -> list[tuple[MultiIndex, float]]:
         return sorted(self.coeffs.items())
@@ -168,20 +162,26 @@ class SpectralFn:
         return cls.from_dict(json.loads(text))
 
 
-def _result(space: ProductSpace, coeffs: dict) -> SpectralFn:
-    """SpectralFn(space, coeffs) for keys the algebra built from validated
-    operands: each value is converted, checked and dropped at zero as there,
-    but the keys, already int tuples in range, are not validated again."""
+def _clean_values(items) -> dict[MultiIndex, float]:
+    """The coefficient dict of (multi-index, value) pairs: each value as a
+    float, a non-finite one refused, zeros dropped."""
     clean: dict[MultiIndex, float] = {}
-    for alpha, value in coeffs.items():
+    for alpha, value in items:
         value = float(value)
         if not math.isfinite(value):
             raise ValueError(f"non-finite coefficient at {alpha}")
         if value != 0.0:
             clean[alpha] = value
+    return clean
+
+
+def _result(space: ProductSpace, coeffs: dict) -> SpectralFn:
+    """SpectralFn(space, coeffs) for keys the algebra built from validated
+    operands: the values are cleaned as there, but the keys, already int
+    tuples in range, are not validated again."""
     out = object.__new__(SpectralFn)
     object.__setattr__(out, "space", space)
-    object.__setattr__(out, "coeffs", clean)
+    object.__setattr__(out, "coeffs", _clean_values(coeffs.items()))
     return out
 
 

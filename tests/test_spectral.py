@@ -424,9 +424,12 @@ def test_algebra_results_refuse_overflow():
 def test_space_eigenvalue_bit_for_bit_from_coordinates():
     """ProductSpace.eigenvalue sums each coordinate's eigenvalue in order, to
     the bit, on every family up to its top degree (Laguerre refuses past 361)
-    and on mixed spaces."""
+    and on mixed spaces; each coordinate's eigenvalue is its numpy one."""
     bases = [make_basis(hermite(), 512), make_basis(laguerre(0.0), 361),
              make_basis(jacobi(2.0, 3.0), 512)]
+    for b in bases:
+        assert ([b.eigenvalue(p).hex() for p in range(b.max_degree + 1)]
+                == [float(lam).hex() for lam in b.eigenvalues])
     spaces = [ProductSpace((b,) * d) for b in bases for d in (1, 3)]
     spaces += [ProductSpace(tuple(bases)), ProductSpace(tuple(reversed(bases)))]
     rng = np.random.default_rng(16)
