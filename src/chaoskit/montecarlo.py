@@ -3,6 +3,8 @@
 Streams are counter-based (Philox): each (chunk, coordinate) pair owns a
 disjoint counter range derived from the master seed, so a column's draws
 depend only on (seed, chunk, column, kind), however chunks are scheduled.
+`_stream` places a stream by re-keying a generator the caller holds, one per
+task, so no stream builds a generator of its own.
 Coordinates follow their basis measure: N(0,1) for Hermite, Gamma(alpha+1, 1)
 for Laguerre, and the [-1,1]-mapped Beta(b, a) for Jacobi(a, b).  `sample`
 writes them into a column-major batch, one column after another.  With
@@ -23,11 +25,13 @@ sample count.  The phase step uses e^{i<t,F>} = prod_k e^{i t_k F_k}: per
 component and distinct nonzero frequency w it builds one factor e^{iwF_k},
 the square of the factor for w/2 when w/2 is also there, else one `cos`/`sin`
 pair written into a complex buffer (with numpy 2.4 on x86-64, bit for bit
-`exp(1j * w * F_k)`); per t it takes one product of factors and one sum.
-Since |z| = 1, var(Re z) + var(Im z) = 1 - |mean z|^2, so the standard error
-needs no second pass.  Against one complex `exp` and two variances over the
-whole batch, this moves gaps and standard errors by a few units in the last
-place.
+`exp(1j * w * F_k)`).  Per t, one factor is summed; with more, the product
+of all but the last is dotted with the last, one pass (BLAS zdotu) for the
+last product and the sum.  Which factors, and which factor each t takes, is
+planned once per request.  Since |z| = 1, var(Re z) + var(Im z) =
+1 - |mean z|^2, so the standard error needs no second pass.  Against one
+complex `exp` and two variances over the whole batch, this moves gaps and
+standard errors by a few units in the last place.
 
 Parallelism and workspace.  `_map` runs GIL-releasing numpy tasks on one
 module-level thread pool, built on first use with one worker per usable core
@@ -98,9 +102,20 @@ class SampleBatch:
     points: np.ndarray
 
 
-def _stream(seed: int, chunk_index: int, coord: int) -> np.random.Generator:
-    counter = (coord << 192) + (chunk_index << 128)
-    return np.random.Generator(np.random.Philox(key=seed, counter=counter))
+def _stream(gen: np.random.Generator, seed: int, chunk_index: int,
+            coord: int) -> np.random.Generator:
+    """gen, re-keyed to draw what a fresh Generator(Philox(key=seed,
+    counter=(coord << 192) + (chunk_index << 128))) draws.  Setting the whole
+    state drops what earlier draws left buffered; building a Philox with a
+    key would read OS entropy that the key then discards."""
+    key = int(seed)
+    if not 0 <= key < 1 << 128:
+        raise ValueError("key must be positive and less than 2**128.")
+    gen.bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": [0, 0, chunk_index, coord], "key": [key % 2**64, key >> 64]},
+        "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+    return gen
 
 
 def _draw(kind, gen: np.random.Generator, size: int) -> np.ndarray:
@@ -117,10 +132,11 @@ def sample(space: ProductSpace, n: int, seed: int) -> SampleBatch:
     if n < 1:
         raise ValueError("need at least one sample")
     points = np.empty((n, space.dim), order="F")
+    gen = np.random.Generator(np.random.Philox(0))  # placed by _stream
     for j, basis in enumerate(space.coords):
         for c, start in enumerate(range(0, n, CHUNK)):
             stop = min(start + CHUNK, n)
-            points[start:stop, j] = _draw(basis.kind, _stream(seed, c, j), stop - start)
+            points[start:stop, j] = _draw(basis.kind, _stream(gen, seed, c, j), stop - start)
     points.setflags(write=False)
     return SampleBatch(space, n, seed, points)
 
@@ -165,8 +181,11 @@ def _component(terms, rows: np.ndarray, out: np.ndarray, tmp: np.ndarray) -> Non
     in place (tmp is scratch of out's length)."""
     out.fill(0.0)
     for v, term_rows in terms:
-        tmp.fill(v)
-        for r in term_rows:
+        if term_rows:
+            np.multiply(rows[term_rows[0]], v, out=tmp)
+        else:
+            tmp.fill(v)
+        for r in term_rows[1:]:
             np.multiply(tmp, rows[r], out=tmp)
         out += tmp
 
@@ -201,7 +220,7 @@ def cf_gaps(fs, c: GaussianTarget | np.ndarray, ts, batch: SampleBatch,
     place."""
     _check_space(batch, fs)
     return _gaps([(fs, c, ts)], batch.n_samples,
-                 lambda chunk, kind, j, start, stop: batch.points[start:stop, j])[0]
+                 lambda gen, chunk, kind, j, start, stop: batch.points[start:stop, j])[0]
 
 
 def sampled_cf_gaps(vectors, n: int, seed: int) -> list[list[tuple[float, float]]]:
@@ -211,13 +230,14 @@ def sampled_cf_gaps(vectors, n: int, seed: int) -> list[list[tuple[float, float]
     and is dropped with its chunk."""
     if n < 1:
         raise ValueError("need at least one sample")
-    return _gaps(vectors, n, lambda chunk, kind, j, start, stop:
-                 _draw(kind, _stream(seed, chunk, j), stop - start))
+    return _gaps(vectors, n, lambda gen, chunk, kind, j, start, stop:
+                 _draw(kind, _stream(gen, seed, chunk, j), stop - start))
 
 
 def _gaps(vectors, n: int, column) -> list[list[tuple[float, float]]]:
     """The CF gaps of every (fs, c, ts) of vectors over n samples, where
-    column(chunk, kind, j, start, stop) gives rows start:stop of column j."""
+    column(gen, chunk, kind, j, start, stop) gives rows start:stop of column
+    j, and gen is the calling task's generator for `_stream` to place."""
     plans, fns = [], []
     for fs, c, ts in vectors:
         fs = tuple(fs)
@@ -234,10 +254,11 @@ def _gaps(vectors, n: int, column) -> list[list[tuple[float, float]]]:
         plans.append((c, ts, [(k, len(fns) + i, freqs[k]) for i, k in enumerate(ks)]))
         fns += [fs[k] for k in ks]
     columns, comps, index = _layout(fns)
-    plans = [(c, ts, [(k, index[i], ws) for k, i, ws in parts]) for c, ts, parts in plans]
+    phases = [_phase_plan(ts, [(k, index[i], ws) for k, i, ws in parts])
+              for _, ts, parts in plans]
     n_rows = sum(len(degs) for _, _, degs, _ in columns)
     top = max((degs[-1] for _, _, degs, _ in columns), default=0)
-    n_factors = max((sum(len(ws) for *_, ws in p[2]) for p in plans), default=0)
+    n_factors = max((len(steps) for steps, _ in phases), default=0)
     n_chunks = -(-n // CHUNK)
     stride = min(_WORKERS, n_chunks)
     sizes = [top + 1, n_rows, len(comps), 1, 2 * n_factors, 2]  # in CHUNK-row units
@@ -253,20 +274,21 @@ def _gaps(vectors, n: int, column) -> list[list[tuple[float, float]]]:
         scratch = scratch[0]
         factors = factors.reshape(n_factors, 2 * CHUNK).view(complex)
         product = product.reshape(2 * CHUNK).view(complex)
+        gen = np.random.Generator(np.random.Philox(0))  # placed by _stream
         out = []
         for chunk in range(first, n_chunks, stride):
             start = chunk * CHUNK
             m = min(CHUNK, n - start)
             for j, basis, degs, row in columns:
-                x = column(chunk, basis.kind, j, start, start + m)
+                x = column(gen, chunk, basis.kind, j, start, start + m)
                 block = basis.eval_all(x, degs[-1], out=table[:degs[-1] + 1, :m])
                 for r, deg in enumerate(degs, row):
                     rows[r, :m] = block[deg]
             for i, terms in enumerate(comps):
                 _component(terms, rows[:, :m], values[i, :m], scratch[:m])
-            out.append([_phase_sums(ts, [(k, values[i, :m], ws) for k, i, ws in parts],
-                                    factors[:, :m], product[:m], scratch[:m])
-                        for _, ts, parts in plans])
+            out.append([_phase_sums(steps, uses, values[:, :m], factors[:, :m],
+                                    product[:m], scratch[:m])
+                        for steps, uses in phases])
         return out
 
     done = _map(stripe, range(stride))
@@ -286,29 +308,40 @@ def _gaps(vectors, n: int, column) -> list[list[tuple[float, float]]]:
     return results
 
 
-def _phase_sums(ts, comps, factors: np.ndarray, product: np.ndarray,
-                phase: np.ndarray) -> np.ndarray:
-    """Per t, the chunk's sum of e^{i<t,F>} = prod_k e^{i t_k F_k}, from
-    comps = (k, values of F_k, sorted frequencies of F_k); the buffers are
-    the chunk's rows of the workspace."""
-    factor, slot = {}, 0
-    for k, values, ws in comps:
+def _phase_plan(ts, parts) -> tuple[list[tuple], list[tuple]]:
+    """(steps, uses) of one vector, from parts = (k, component, sorted
+    frequencies of F_k): steps[slot] = (component, w, slot of the factor for
+    w/2 or None) builds factor e^{iwF_k}, and uses holds per t the slots of
+    the factors whose product is e^{i<t,F>}."""
+    slot, steps = {}, []
+    for k, i, ws in parts:
         for w in ws:
-            e = factors[slot]
-            slot += 1
-            half = factor.get((k, w / 2))
-            if half is not None:  # e^{2iwF} = (e^{iwF})^2 costs no cos/sin
-                np.multiply(half, half, out=e)
-            else:
-                np.multiply(values, w, out=phase)
-                np.cos(phase, out=e.real)
-                np.sin(phase, out=e.imag)
-            factor[k, w] = e
-    sums = np.empty(len(ts), dtype=complex)
-    for i, t in enumerate(ts):
-        z = None
-        for k, w in enumerate(t):
-            if w != 0.0:
-                z = factor[k, w] if z is None else np.multiply(z, factor[k, w], out=product)
-        sums[i] = product.size if z is None else z.sum()
+            steps.append((i, w, slot.get((k, w / 2))))
+            slot[k, w] = len(steps) - 1
+    return steps, [tuple(slot[k, w] for k, w in enumerate(t) if w != 0.0) for t in ts]
+
+
+def _phase_sums(steps, uses, values: np.ndarray, factors: np.ndarray,
+                product: np.ndarray, phase: np.ndarray) -> np.ndarray:
+    """Per t, the chunk's sum of e^{i<t,F>} = prod_k e^{i t_k F_k} by the
+    plan (steps, uses) of `_phase_plan`; the arrays are the chunk's rows of
+    the workspace."""
+    for e, (i, w, half) in zip(factors, steps):
+        if half is not None:  # e^{2iwF} = (e^{iwF})^2 costs no cos/sin
+            np.multiply(factors[half], factors[half], out=e)
+        else:
+            np.multiply(values[i], w, out=phase)
+            np.cos(phase, out=e.real)
+            np.sin(phase, out=e.imag)
+    sums = np.empty(len(uses), dtype=complex)
+    for i, slots in enumerate(uses):
+        if not slots:
+            sums[i] = phase.size
+        elif len(slots) == 1:
+            sums[i] = factors[slots[0]].sum()
+        else:  # the last product and the sum fused in one dot
+            z = factors[slots[0]]
+            for s in slots[1:-1]:
+                z = np.multiply(z, factors[s], out=product)
+            sums[i] = np.dot(z, factors[slots[-1]])
     return sums

@@ -15,6 +15,7 @@ import pytest
 
 from chaoskit import (
     ProductSpace,
+    SpectralFn,
     cf_gap,
     cf_gaps,
     evaluate,
@@ -36,6 +37,10 @@ from chaoskit.basis import Basis
 from chaoskit.montecarlo import CHUNK
 
 BOUND_CHECK = Path(__file__).parent.parent / "configs" / "bound_check.json"
+# Three Hermite basis functions on a 3-coordinate space: t with three nonzero
+# entries multiplies three phase factors.
+HERMITE_TRIPLE = tuple(SpectralFn(product_space(hermite(), 3, 3), {alpha: 1.0})
+                       for alpha in ((2, 0, 0), (1, 1, 0), (0, 1, 2)))
 
 
 def test_fixed_seed_reproduces_batches():
@@ -57,12 +62,41 @@ def test_sample_columns_match_serial_reference():
     for j, basis in enumerate(space.coords):
         for c, start in enumerate(range(0, n, CHUNK)):
             stop = min(start + CHUNK, n)
-            ref[start:stop, j] = montecarlo._draw(
-                basis.kind, montecarlo._stream(5, c, j), stop - start)
+            gen = np.random.Generator(np.random.Philox(key=5, counter=(j << 192) + (c << 128)))
+            ref[start:stop, j] = montecarlo._draw(basis.kind, gen, stop - start)
     points = sample(space, n, seed=5).points
     assert points.flags.f_contiguous and points.shape == (n, space.dim)
     assert np.array_equal(points, ref)
     assert points.tobytes(order="C") == ref.tobytes()
+
+
+@pytest.mark.parametrize("seed", [0, 2**64 - 1])
+def test_stream_placement_matches_a_fresh_philox(seed):
+    """A re-keyed generator draws exactly what a fresh Philox at the stream's
+    (key, counter) draws, also right after a draw of another family has left
+    buffered state (the gamma and beta rejection samplers, an odd uint32)."""
+    kinds = (hermite(), laguerre(0.5), jacobi(2.0, 3.0))
+    gen = np.random.Generator(np.random.Philox(0))
+    for chunk in (0, 1, 2):
+        for coord in (0, 5):
+            for kind, before in zip(kinds, kinds[1:] + kinds[:1]):
+                montecarlo._draw(before, gen, 7)
+                gen.integers(2**31, dtype=np.uint32)
+                fresh = np.random.Generator(np.random.Philox(
+                    key=seed, counter=(coord << 192) + (chunk << 128)))
+                placed = montecarlo._stream(gen, seed, chunk, coord)
+                assert placed is gen
+                assert (montecarlo._draw(kind, placed, 1000).tobytes()
+                        == montecarlo._draw(kind, fresh, 1000).tobytes())
+
+
+@pytest.mark.parametrize("seed", [-1, 2**128])
+def test_stream_placement_refuses_what_philox_refuses(seed):
+    with pytest.raises(ValueError) as fresh:
+        np.random.Philox(key=seed)
+    with pytest.raises(ValueError) as placed:
+        montecarlo._stream(np.random.Generator(np.random.Philox(0)), seed, 0, 0)
+    assert str(placed.value) == str(fresh.value)
 
 
 def test_sample_mean_envelopes():
@@ -241,7 +275,9 @@ def test_cf_gap_validation():
     (pair_mixed(2, 2, 0.5, 4), [[0.0, 1.0], [0.5, 0.0], [1.0, 2.0], [0.0, 0.0],
                                 [-0.25, 0.75]], 5000, 4),
     ((spread(laguerre(0.5), 1, 1),), [[0.25], [0.5]], 20_000, 7),
-], ids=["hermite", "laguerre", "jacobi", "pair", "laguerre-half-frequency"])
+    (HERMITE_TRIPLE, [[1.0, 0.75, -0.5], [0.0, 1.25, 0.3], [0.6, 0.0, 0.0], [0.0, 0.0, 0.0],
+                      [-0.4, 0.75, 0.3]], 5000, 4),
+], ids=["hermite", "laguerre", "jacobi", "pair", "laguerre-half-frequency", "hermite-d3"])
 def test_cf_gaps_equals_cf_gap_at_each_t(fs, ts, n, seed):
     """cf_gaps at each t is cf_gap alone bit for bit where no component's
     frequencies hold both w and w/2.  Where they do, the factor for w is the
@@ -281,7 +317,9 @@ def _cf_gaps_full_arrays(fs, c, ts, batch):
     (pair_mixed(2, 2, 0.5, 4), [[0.0, 1.0], [0.5, 0.0], [1.0, 1.0], [-0.5, 0.5],
                                 [0.0, 0.0], [2.0, -2.0], [1.0, 1.0], [-0.25, 0.5],
                                 [0.5, 1.0], [1.0, 2.0], [-1.0, 0.25]]),
-], ids=["hermite", "laguerre", "jacobi", "pair"])
+    (HERMITE_TRIPLE, [[1.0, 0.5, -0.25], [0.5, 1.0, 0.0], [0.0, 0.0, 0.0], [2.0, -0.5, 1.0],
+                      [0.0, 0.25, 0.0], [0.25, 0.25, 0.25]]),
+], ids=["hermite", "laguerre", "jacobi", "pair", "hermite-d3"])
 def test_cf_gaps_matches_full_array_reference(fs, ts, n, monkeypatch):
     """The chunked product of per-component factors (squared where a frequency
     is twice another), with the |z| = 1 stderr identity, agrees with the
@@ -384,9 +422,9 @@ def test_bound_check_draws_and_evaluates_each_column_once_per_chunk(
     plain_stream, plain_draw, plain_eval_all = (
         montecarlo._stream, montecarlo._draw, Basis.eval_all)
 
-    def stream(seed, chunk_index, coord):
+    def stream(gen, seed, chunk_index, coord):
         streams.append((chunk_index, coord))
-        return plain_stream(seed, chunk_index, coord)
+        return plain_stream(gen, seed, chunk_index, coord)
 
     def draw(kind, gen, size):
         draws.append((kind, size))
@@ -438,7 +476,9 @@ def test_bound_check_evaluates_a_shared_component_once_per_chunk(tmp_path, monke
 def test_bound_check_memory_does_not_grow_with_n_samples(workers, tmp_path, monkeypatch):
     """No array of the bound check has n_samples rows: numpy reports its
     buffers to tracemalloc, and the traced peak at 40 chunks is within 1 MB
-    of the peak at 4."""
+    of the peak at 4.  With two workers the peak at 4 chunks stays at most
+    7 MB (about 6.7 MB measured), so a workspace that grows with the number
+    of vectors fails."""
     obj = json.loads(BOUND_CHECK.read_text())
     monkeypatch.setattr(montecarlo, "_WORKERS", workers)
     peaks = []
@@ -452,6 +492,7 @@ def test_bound_check_memory_does_not_grow_with_n_samples(workers, tmp_path, monk
         finally:
             tracemalloc.stop()
     assert peaks[0] > 1e6 and abs(peaks[1] - peaks[0]) < 1e6, peaks
+    assert workers == 1 or peaks[0] <= 7e6, peaks
 
 
 def _import_leaves_unloaded(module: str) -> None:
