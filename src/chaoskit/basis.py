@@ -21,8 +21,9 @@ hands every later caller the same Basis, so its recurrence and eigenvalue
 arrays are read-only and its linearization cache is shared.  The memo keeps
 at most BASIS_CACHE_SIZE bases, dropping the least recently used; refused
 constructions are not remembered and raise again on every call.  Each
-basis keeps at most LIN_CACHE_SIZE linearizations, dropping the oldest, so a
-memoized basis holds a few MB at most (an entry has at most 513 doubles).
+basis keeps at most LIN_CACHE_SIZE linearizations, dropping the oldest; an
+entry holds the coefficient array and the Python term lists of `Basis.terms`,
+so a full cache at degree 512 holds up to about 100 MB (README).
 """
 
 from __future__ import annotations
@@ -209,7 +210,8 @@ class Basis:
         return q, d1, d2
 
     def linearize(self, m: int, n: int) -> np.ndarray:
-        """Coefficients c_0..c_{m+n} of Q_m Q_n = sum_k c_k Q_k (cached).
+        """Coefficients c_0..c_{m+n} of Q_m Q_n = sum_k c_k Q_k (cached, with
+        the term lists of `terms`).
 
         From Q_hi Q_0 = Q_hi, the recurrence runs lo = min(m, n) steps on
         coefficient vectors, where x acts as the Jacobi operator.
@@ -223,7 +225,7 @@ class Basis:
         lo, hi = sorted((m, n))
         hit = self._lin_cache.get((lo, hi))
         if hit is not None:
-            return hit
+            return hit[0]
         a = self.rec_a[: m + n + 1]
         b = self.rec_b[: m + n + 1]
         prev, cur = np.zeros(m + n + 1), np.zeros(m + n + 1)
@@ -236,8 +238,23 @@ class Basis:
         cur.setflags(write=False)
         if len(self._lin_cache) >= LIN_CACHE_SIZE:
             self._lin_cache.popitem(last=False)
-        self._lin_cache[(lo, hi)] = cur
+        lam, c = self.eigenvalue_list, cur.tolist()
+        top = lam[m] + lam[n]
+        self._lin_cache[(lo, hi)] = (cur, [(k, ck) for k, ck in enumerate(c) if ck],
+                                     [(k, w) for k, ck in enumerate(c)
+                                      if (w := 0.5 * (top - lam[k]) * ck)])
         return cur
+
+    def terms(self, m: int, n: int) -> tuple[np.ndarray, list, list]:
+        """The cache entry of Q_m Q_n: `linearize(m, n)`, its nonzero (k, c_k) and
+        its nonzero carre du champ weights (k, (lambda_m + lambda_n - lambda_k) c_k / 2),
+        k ascending.  A miss goes through `linearize`, which refuses m + n > max_degree."""
+        key = (m, n) if m <= n else (n, m)
+        hit = self._lin_cache.get(key)
+        if hit is None:
+            self.linearize(m, n)
+            hit = self._lin_cache[key]
+        return hit
 
 
 # typed: a max_degree of another type (4.0, np.int64(4)) gets its own entry, so it

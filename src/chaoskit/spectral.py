@@ -7,7 +7,9 @@ diagonally with eigenvalue -Lambda(alpha), Lambda(alpha) = sum_i lambda_{alpha_i
 which makes L, its pseudo-inverse, products, the carre du champ
 Gamma(F,G) = (L(FG) - F LG - G LF)/2, spectral projections and chaos-membership
 checks exact coefficient algebra.  Products and Gamma = sum_i Gamma_i
-(tensorization) share one expansion of each pair of basis functions.
+(tensorization) share one expansion of each pair of basis functions.  A pair
+(alpha, beta) costs one step per nonzero coordinate of beta, each a cached
+term-list lookup where alpha is nonzero too, plus one d-tuple per output term.
 """
 
 from __future__ import annotations
@@ -52,7 +54,8 @@ class ProductSpace:
                 )
 
     def eigenvalue(self, alpha: MultiIndex) -> float:
-        return sum([b.eigenvalue_list[d] for d, b in zip(alpha, self.coords)])
+        # lambda_0 = 0.0 adds nothing, so zero degrees are skipped
+        return sum([b.eigenvalue_list[d] for d, b in zip(alpha, self.coords) if d], 0.0)
 
     def zero_index(self) -> MultiIndex:
         return (0,) * self.dim
@@ -218,40 +221,46 @@ def gamma(f: SpectralFn, g: SpectralFn) -> SpectralFn:
 
 
 def _pair_expand(f: SpectralFn, g: SpectralFn, carre: bool) -> SpectralFn:
-    """Expand each pair Q_alpha Q_beta coordinate by coordinate; into Gamma if carre."""
+    """Expand each pair Q_alpha Q_beta over beta's nonzero coordinates, from the
+    cached term lists of `Basis.terms`; into Gamma if carre."""
     _check_same_space(f, g)
     space = f.space
     acc: dict[MultiIndex, float] = {}
+    gs = [(gb, [(i, db) for i, db in enumerate(beta) if db]) for beta, gb in g.items_sorted()]
     for alpha, fa in f.items_sorted():
-        for beta, gb in g.items_sorted():
-            base = fa * gb
-            fixed = tuple(da + db for da, db in zip(alpha, beta))
-            expand: list[tuple[int, np.ndarray]] = []
-            for i, (da, db) in enumerate(zip(alpha, beta)):
-                if da and db:  # linearize refuses a product degree past max_degree
-                    expand.append((i, space.coords[i].linearize(da, db)))
+        for gb, nonzero in gs:
+            key, lins, gams = list(alpha), [], []
+            for i, db in nonzero:
+                da = alpha[i]
+                key[i] = da + db
+                if da:  # a cache miss goes through linearize, which refuses da + db > max_degree
+                    _, lin, gam = space.coords[i].terms(da, db)
+                    lins.append((i, lin))
+                    gams.append((i, gam))
             if not carre:
-                _accumulate(acc, fixed, base, expand, 0)
+                _accumulate(acc, key, fa * gb, lins)
                 continue
-            for j, (i, c) in enumerate(expand):
-                lam = space.coords[i].eigenvalues
-                gam = 0.5 * (lam[alpha[i]] + lam[beta[i]] - lam[: c.size]) * c
-                _accumulate(acc, fixed, base, [*expand[:j], (i, gam), *expand[j + 1:]], 0)
+            for j, pick in enumerate(gams):
+                _accumulate(acc, key, fa * gb, [*lins[:j], pick, *lins[j + 1:]])
     return _result(space, acc)
 
 
-def _accumulate(acc: dict, idx: tuple, value: float,
-                expand: list[tuple[int, np.ndarray]], depth: int) -> None:
-    if depth == len(expand):
-        acc[idx] = acc.get(idx, 0.0) + value
+def _accumulate(acc: dict, key: list, value: float, lists: list[tuple[int, list]]) -> None:
+    """Add value * c_1 * ... * c_r into acc at `key` with coordinate i_j set to
+    k_j, for each choice of one (k_j, c_j) from every (i_j, terms_j) of
+    `lists`, depth-first in list order."""
+    if not lists:
+        t = tuple(key)
+        acc[t] = acc.get(t, 0.0) + value
         return
-    coord, c = expand[depth]
-    lst = list(idx)
-    for k, ck in enumerate(c):
-        if ck == 0.0:
-            continue
-        lst[coord] = k
-        _accumulate(acc, tuple(lst), value * ck, expand, depth + 1)
+    (i, terms), rest = lists[0], lists[1:]
+    for k, c in terms:
+        key[i] = k
+        if rest:
+            _accumulate(acc, key, value * c, rest)
+        else:
+            t = tuple(key)
+            acc[t] = acc.get(t, 0.0) + value * c
 
 
 def apply_L(f: SpectralFn) -> SpectralFn:

@@ -8,12 +8,15 @@ line per run: the sha256 of `report.csv` and of `report.json` with the output
 directory replaced by `<out>`.  For every seed it then runs the 40 requests of
 round 0 of the benchmark's many-small workload (fresh Laguerre and Jacobi
 spreads, thm33-check, product-formula-check) and prints one sha256 over all
-their report digests, in request order.  It imports chaoskit from the `src/`
-next to this directory, so running the script of two checkouts and diffing
-the output shows whether a change moved any report byte.  With `--check FILE`
-it compares its listing, line by line by run, with one saved from another
-checkout, names each run that differs (or is on one side only) and exits 1
-if any does.  Not collected by pytest.
+their report digests, in request order, and likewise one for round 0 of its
+joint-heavy workload (Hermite and Laguerre(alpha) joint-verify up to n = 32).
+It imports chaoskit from the `src/` next to this directory, so running the
+script of two checkouts and diffing the output shows whether a change moved
+any report byte.  With `--check FILE` it compares its listing, line by line
+by run, with one saved from another checkout, names each run that differs
+(or is on one side only) and exits 1 if any does.  To check a change against
+an older checkout, run this version of the script in both.  Not collected by
+pytest.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ sys.path.insert(0, str(ROOT / "src"))
 sys.path.insert(0, str(ROOT / "bench"))
 
 from chaoskit import experiments  # noqa: E402
-from workloads import many_small, mc_bound  # noqa: E402
+from workloads import joint_heavy, many_small, mc_bound  # noqa: E402
 
 
 def _digests(config: dict, out: Path) -> tuple[str, str]:
@@ -74,12 +77,13 @@ def _listing(seeds: list[str]):
         for k, (label, config) in enumerate(runs):
             csv, js = _digests(config, Path(tmp) / str(k))
             yield f"{label}: csv {csv} json {js}"
-        for s in seeds:
-            total = hashlib.sha256()
-            for k, req in enumerate(many_small(int(s), 0)):
-                csv, js = _digests(req.config, Path(tmp) / f"many-small-{s}-{k}")
-                total.update(f"{csv} {js}\n".encode())
-            yield f"many-small seed {s} round 0: {total.hexdigest()}"
+        for name, workload in (("many-small", many_small), ("joint-heavy", joint_heavy)):
+            for s in seeds:
+                total = hashlib.sha256()
+                for k, req in enumerate(workload(int(s), 0)):
+                    csv, js = _digests(req.config, Path(tmp) / f"{name}-{s}-{k}")
+                    total.update(f"{csv} {js}\n".encode())
+                yield f"{name} seed {s} round 0: {total.hexdigest()}"
 
 
 if __name__ == "__main__":

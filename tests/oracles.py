@@ -5,8 +5,10 @@ quadrature machinery: exact measure moments, Gram-Schmidt orthonormalization
 over those moments, symbolic application of the pinned generators, closed and
 50-digit forms of product linearization, and brute-force tensor algebra.
 Results are exact (sympy), high precision (mpmath) or plain loops, so they can
-serve as oracles for the fast implementations.  The one exception is
-`gamma_by_products`, a kept reference formula built on the library's products.
+serve as oracles for the fast implementations.  Two exceptions are kept
+references built on the library: `gamma_by_products`, the carre du champ from
+three full products, and `pair_expand`, the recursive pair expansion that
+`multiply` and `gamma` must reproduce bit for bit.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import mpmath as mp
 import numpy as np
 import sympy as sp
 
-from chaoskit import apply_L, multiply
+from chaoskit import SpectralFn, apply_L, multiply
 
 X = sp.Symbol("x")
 
@@ -171,6 +173,45 @@ def gamma_by_products(f, g):
     """Reference carre du champ from three full products: (L(FG) - F LG - G LF) / 2."""
     t = apply_L(multiply(f, g)) - multiply(f, apply_L(g)) - multiply(g, apply_L(f))
     return t.scale(0.5)
+
+
+def pair_expand(f, g, carre: bool):
+    """Reference `multiply` (carre False) or `gamma` (carre True): each pair
+    Q_alpha Q_beta expanded over every coordinate, recursing over the numpy
+    linearization arrays and skipping their zero entries.  The library's
+    expansion must give the same keys in the same insertion order and the
+    same bits."""
+    space = f.space
+    acc = {}
+    for alpha, fa in f.items_sorted():
+        for beta, gb in g.items_sorted():
+            base = fa * gb
+            fixed = tuple(da + db for da, db in zip(alpha, beta))
+            expand = []
+            for i, (da, db) in enumerate(zip(alpha, beta)):
+                if da and db:
+                    expand.append((i, space.coords[i].linearize(da, db)))
+            if not carre:
+                _accumulate(acc, fixed, base, expand, 0)
+                continue
+            for j, (i, c) in enumerate(expand):
+                lam = space.coords[i].eigenvalues
+                gam = 0.5 * (lam[alpha[i]] + lam[beta[i]] - lam[: c.size]) * c
+                _accumulate(acc, fixed, base, [*expand[:j], (i, gam), *expand[j + 1:]], 0)
+    return SpectralFn(space, acc)
+
+
+def _accumulate(acc: dict, idx: tuple, value, expand: list, depth: int) -> None:
+    if depth == len(expand):
+        acc[idx] = acc.get(idx, 0.0) + value
+        return
+    coord, c = expand[depth]
+    lst = list(idx)
+    for k, ck in enumerate(c):
+        if ck == 0.0:
+            continue
+        lst[coord] = k
+        _accumulate(acc, tuple(lst), value * ck, expand, depth + 1)
 
 
 def gaussian_moment(k: int) -> int:

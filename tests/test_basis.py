@@ -9,6 +9,7 @@ import sympy as sp
 from chaoskit import (
     ProductSpace,
     SpectralFn,
+    gamma,
     gauss_quadrature,
     hermite,
     jacobi,
@@ -294,6 +295,55 @@ def test_linearization_cache_eviction_keeps_values(kind, monkeypatch):
         assert len(capped._lin_cache) == 8
     for m, n in ((1, 1), (2, 7), (12, 12)):
         assert capped.linearize(m, n).tobytes() == unbounded.linearize(m, n).tobytes()
+
+
+def _fresh(kind, max_degree):
+    """An unmemoized Basis, with its own empty linearization cache."""
+    b = make_basis(kind, max_degree)
+    return Basis(kind, max_degree, b.rec_a, b.rec_b, b.eigenvalues)
+
+
+def _pair_products(basis):
+    """multiply and gamma of two functions on two coordinates of `basis`, as
+    (multi-index, float.hex) lists in insertion order."""
+    space = ProductSpace((basis, basis))
+    f = SpectralFn(space, {(3, 0): 0.7, (2, 5): -1.3, (1, 1): 0.4, (40, 2): 0.25})
+    g = SpectralFn(space, {(3, 4): 1.1, (0, 6): -0.6, (5, 5): 0.9, (9, 1): 2.0})
+    return [[(a, v.hex()) for a, v in h.coeffs.items()] for h in (multiply(f, g), gamma(f, g))]
+
+
+@pytest.mark.parametrize("kind", [hermite(), laguerre(0.5), jacobi(2.0, 3.0)],
+                         ids=lambda k: k.label())
+def test_products_after_cache_cycles_match_cold(kind):
+    """Once squaring sum_{k<=50} Q_k has pushed 1,275 distinct products through
+    a cache of LIN_CACHE_SIZE entries, multiply and gamma give what they give
+    on a cold cache, bit for bit and in the same key order."""
+    cold = _pair_products(_fresh(kind, 100))
+    warm = _fresh(kind, 100)
+    _square_of_sum(warm, 50)
+    assert len(warm._lin_cache) == LIN_CACHE_SIZE < 50 * 51 // 2
+    for _ in range(2):
+        assert _pair_products(warm) == cold
+        assert len(warm._lin_cache) <= LIN_CACHE_SIZE
+
+
+def test_warm_cache_still_refuses_products_past_max_degree():
+    """A product degree past max_degree is refused with the cold cache's
+    ValueError even when every smaller product of those degrees is cached."""
+    basis = _fresh(hermite(), 12)
+    space = ProductSpace((basis, basis))
+    f = SpectralFn(space, {(6, 1): 1.0, (7, 0): 0.5})
+    with pytest.raises(ValueError) as cold:
+        multiply(f, f)
+    message = str(cold.value)
+    assert message == "product degree 13 exceeds max_degree 12"
+    for m in range(7):
+        for n in range(7):
+            basis.linearize(m, n)
+    for op in (multiply, gamma):
+        with pytest.raises(ValueError) as warm:
+            op(f, f)
+        assert str(warm.value) == message
 
 
 # -- linearization accuracy contract over the whole degree range --------------

@@ -4,7 +4,9 @@ Random spaces (Hermite, Laguerre(alpha), Jacobi(a, b); one or two coordinates
 of max_degree 16) carry random sparse functions of degree at most 5 per
 coordinate, so every triple product stays representable.  A second strategy
 draws elements of the p-th Hermite chaos, where the fourth-moment bound on
-Var Gamma is checked.  Mixed spaces draw each coordinate's family on its own.  The runs are derandomized and keep no example
+Var Gamma is checked.  Mixed spaces draw each coordinate's family on its own.
+`multiply` and `gamma` are also compared bit for bit with the recursive pair
+expansion kept in `oracles`.  The runs are derandomized and keep no example
 database, so they repeat exactly.
 """
 
@@ -18,6 +20,8 @@ from hypothesis import strategies as st
 from chaoskit import ProductSpace, SpectralFn, apply_L, apply_Linv, gamma, hermite, inner
 from chaoskit import jacobi, laguerre, make_basis, moment4, multiply, product_space, project
 from chaoskit import var_gamma
+
+import oracles
 
 MAX_DEGREE = 16
 TERM_DEGREE = 5  # 3 * 5 <= 16: (FG)H and Gamma(FG, H) fit in the space
@@ -107,6 +111,23 @@ def test_algebra_results_valid_as_built(fg):
         assert list(SpectralFn(h.space, h.coeffs).coeffs.items()) == list(h.coeffs.items())
         assert all(type(d) is int for alpha in h.coeffs for d in alpha)
         assert all(type(v) is float for v in h.coeffs.values())
+
+
+def _bits(f: SpectralFn) -> list[tuple[tuple[int, ...], str]]:
+    return [(alpha, v.hex()) for alpha, v in f.coeffs.items()]
+
+
+@settings(PROPERTY_SETTINGS, max_examples=200)
+@given(st.one_of(functions(2), functions(2, mixed=True)))
+def test_pair_expansion_bit_identical_to_reference(fg):
+    """multiply and gamma give the recursive reference expansion's keys, in its
+    insertion order, with the same bits; the reference skips the same zero
+    linearization coefficients and zero Gamma weights (the top degree of a
+    Hermite or Laguerre pair)."""
+    f, g = fg
+    for a, b in ((f, g), (g, f), (f, f)):
+        assert _bits(multiply(a, b)) == _bits(oracles.pair_expand(a, b, carre=False))
+        assert _bits(gamma(a, b)) == _bits(oracles.pair_expand(a, b, carre=True))
 
 
 @st.composite
