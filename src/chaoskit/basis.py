@@ -44,6 +44,20 @@ LIN_CACHE_SIZE = 1024
 _FAMILIES = ("hermite", "laguerre", "jacobi")
 
 
+def as_real(value) -> float:
+    """float(value), refusing a bool or a string: the rule of real config numbers."""
+    if isinstance(value, (bool, str)):
+        raise TypeError(f"expected a number, got {value!r}")
+    return float(value)
+
+
+def as_int(value) -> int:
+    """int(value), refusing a bool, a string or a fraction (1e5 is 100000)."""
+    if isinstance(value, (bool, str)) or int(value) != value:
+        raise TypeError(f"expected an integer, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class BasisKind:
     """Tag plus parameters selecting one of the pinned 1-D generators."""
@@ -54,7 +68,7 @@ class BasisKind:
     def __post_init__(self) -> None:
         if self.family not in _FAMILIES:
             raise ValueError(f"unknown basis family {self.family!r}")
-        p = tuple(float(v) + 0.0 for v in self.params)  # -0.0 becomes 0.0
+        p = tuple(as_real(v) + 0.0 for v in self.params)  # -0.0 becomes 0.0
         object.__setattr__(self, "params", p)
         if self.family == "hermite":
             if p:

@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import moments, montecarlo, sequences, spectral, wiener
-from .basis import BasisKind, hermite, jacobi, laguerre, make_basis
+from .basis import BasisKind, as_int, as_real, hermite, jacobi, laguerre, make_basis
 from .moments import CSV_COLUMNS, GaussianTarget
 from .sequences import SequenceSpec
 from .spectral import CHAOS_TOL, SpectralFn, product_space
@@ -83,20 +83,22 @@ def _kind(obj) -> BasisKind:
     return BasisKind.from_json(_object(obj, "basis kind", ("kind", "params")))
 
 
-def _sequence(obj) -> SequenceSpec:
-    spec = SequenceSpec.from_json(obj)
-    _object(obj, "sequence", spec.to_json())  # holds every key from_json reads
+def _sequence(obj, where: str = "sequence", family: str = "family",
+              extra: tuple = ()) -> SequenceSpec:
+    """The sequence spec of obj, its family named under the key `family`; a key
+    that neither the spec nor `extra` names is refused."""
+    spec = SequenceSpec.from_json({**obj, "family": obj.get(family)})
+    _object(obj, where, (family, "kind", *spec.params, *extra))
     _object(obj.get("kind", {}), "basis kind", spec.kind.to_json())
-    spec.build(1)  # builds (memoized) the basis every grid point uses
     return spec
 
 
-_at_least_one = _checked(int, lambda n: n >= 1, "must be >= 1")
-_positive = _checked(float, lambda x: x > 0, "must be positive")
-_finite = _checked(float, math.isfinite, "must be finite")
+_at_least_one = _checked(as_int, lambda n: n >= 1, "must be >= 1")
+_positive = _checked(as_real, lambda x: x > 0, "must be positive")
+_finite = _checked(as_real, math.isfinite, "must be finite")
 _t_axis = _checked(lambda xs: tuple(map(_finite, xs)), bool, "must not be empty")
-_seed = _checked(int, lambda s: 0 <= s < 2**64, "must be an unsigned 64-bit integer")
-_n_grid = _checked(lambda ns: tuple(map(int, ns)),
+_seed = _checked(as_int, lambda s: 0 <= s < 2**64, "must be an unsigned 64-bit integer")
+_n_grid = _checked(lambda ns: tuple(map(as_int, ns)),
                    lambda g: g and g[0] >= 1 and all(a < b for a, b in zip(g, g[1:])),
                    "must be a nonempty, strictly increasing list of integers >= 1")
 _families = _checked(lambda objs: tuple(map(_kind, objs)), bool, "must not be empty")
@@ -114,7 +116,8 @@ def _field(conv, default=MISSING):
 class ExperimentConfig:
     """The keys every experiment reads.  A subclass declares the fields of its
     experiments, each with its conversion (which checks the value) and default;
-    any other key, also in a sequence, test vector or basis kind, is refused."""
+    any other key, also in a sequence, test vector or basis kind, is refused.
+    Every number, nested ones too, is read by `as_int` or `as_real`."""
     experiment: str
     seed: int
     out: Path
@@ -132,6 +135,7 @@ class SequenceConfig(ExperimentConfig):
         family = {"fmt-verify": "spread", "joint-verify": "pair_mixed"}.get(self.experiment)
         if family not in (None, self.sequence.family):
             raise ConfigError(f"{self.experiment} needs a {family} sequence")
+        _convert("'sequence'", 1, self.sequence.build)  # builds (memoized) the grid's basis
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -271,8 +275,7 @@ def _run_chaos_check(cfg: ExperimentConfig):
     rows: list[list] = []
     failures: list[str] = []
     for n in cfg.n_grid:
-        built = spec.build(n)
-        fs = (built,) if isinstance(built, SpectralFn) else tuple(built)
+        fs = spec.build(n)
         verdict = spectral.is_chaotic_vector(fs, tol)
         for i, j, chk in verdict.pairs:
             if i == j:
@@ -294,7 +297,7 @@ def _run_chaos_check(cfg: ExperimentConfig):
 def _run_fmt_verify(cfg: ExperimentConfig):
     spec = cfg.sequence
     tol = cfg.tolerances["closed_form"]
-    ref = moments.fmt_report(spec.build(1))  # Q_p on a single coordinate
+    ref = moments.fmt_report(*spec.build(1))  # Q_p on a single coordinate
     columns = [
         "n", "m2", "m4", "m4_expected", "m4_abs_err",
         "var_gamma", "var_gamma_expected", "var_gamma_abs_err",
@@ -303,7 +306,7 @@ def _run_fmt_verify(cfg: ExperimentConfig):
     rows: list[list] = []
     failures: list[str] = []
     for n in cfg.n_grid:
-        rep = moments.fmt_report(spec.build(n), cfg.tolerances["chaos"])
+        rep = moments.fmt_report(*spec.build(n), cfg.tolerances["chaos"])
         m4_exp = 3.0 + (ref.m4 - 3.0) / n
         vg_exp = ref.var_gamma / n
         m4_err = abs(rep.m4 - m4_exp)
@@ -330,11 +333,11 @@ def _run_fmt_verify(cfg: ExperimentConfig):
 
 def _run_joint_verify(cfg: ExperimentConfig):
     spec = cfg.sequence
+    p1, p2, rho = (spec.params[key] for key in ("p1", "p2", "rho"))
     tol = cfg.tolerances["closed_form"]
     chaos_tol = cfg.tolerances["chaos"]
     # The mixed moment has a closed form only for equal levels.
-    g_m4 = (moments.moment4(sequences.spread(spec.kind, spec.p1, 1))
-            if spec.p1 == spec.p2 else None)
+    g_m4 = moments.moment4(sequences.spread(spec.kind, p1, 1)) if p1 == p2 else None
     columns = ["n"] + list(CSV_COLUMNS)
     rows: list[list] = []
     per_n = []
@@ -352,9 +355,9 @@ def _run_joint_verify(cfg: ExperimentConfig):
         gap = np.abs(rep.mixed22 - rep.isserlis)
         per_n.append({
             "n": n,
-            "rho_requested": spec.rho,
+            "rho_requested": rho,
             "rho_realized": rho_n,
-            "rho_achieved": bool(abs(rho_n - spec.rho) <= 1e-12),
+            "rho_achieved": bool(abs(rho_n - rho) <= 1e-12),
             "prop31": rep.prop31,
             "r_max": float(np.abs(rep.r_matrix).max()),
             "mixed22_gap_max": float(gap.max()),
@@ -376,26 +379,25 @@ def _run_joint_verify(cfg: ExperimentConfig):
 
 
 def _test_vector(v: dict) -> tuple[tuple[SpectralFn, ...], str]:
-    """The components and name of a config's test vector; raises as
-    `build_test_vector` does."""
-    kind = _kind(v.get("kind", {"kind": "hermite"}))
-    if v.get("type") == "eigenfunction":
+    """The components and name of a bound-check vector: a sequence spec with
+    `type` naming the family, `n` picking the member, `scale` multiplying
+    every component and `name` (default: the family's member name).  The
+    alias {"type": "eigenfunction", "degree": p} is spread's Q_p at n = 1,
+    named <kind label>-Q<p>.  Raises as `build_test_vector` does."""
+    alias = v.get("type") == "eigenfunction"
+    if alias:
         _object(v, "vector spec", ("type", "name", "kind", "degree", "scale"))
-        p = int(v["degree"])
-        fs: tuple[SpectralFn, ...] = (
-            sequences.spread(kind, p, 1).scale(float(v.get("scale", 1.0))),
-        )
-        name = v.get("name", f"{kind.label()}-Q{p}")
-    elif v.get("type") == "pair_mixed":
-        _object(v, "vector spec", ("type", "name", "kind", "p1", "p2", "rho", "n"))
-        fs = sequences.pair_mixed(int(v["p1"]), int(v["p2"]), float(v.get("rho", 0.0)),
-                                  int(v["n"]), kind=kind)
-        name = v.get("name", f"pair({v['p1']},{v['p2']},{v.get('rho', 0.0)},{v['n']})")
-    else:
-        raise ValueError(f"unknown test-vector type {v.get('type')!r}")
+        v = dict(v, type="spread", p=v["degree"], n=1)
+        del v["degree"]
+    spec = _sequence(v, "vector spec", "type", ("n", "scale", "name"))
+    n = as_int(v["n"])
+    fs = spec.build(n)
+    if "scale" in v:
+        fs = tuple(f.scale(as_real(v["scale"])) for f in fs)
     for f in fs:  # the covariance needs finite second moments
         spectral.inner(f, f)
-    return fs, str(name)
+    name = f"{spec.kind.label()}-Q{spec.params['p']}" if alias else spec.name(n)
+    return fs, str(v.get("name", name))
 
 
 def build_test_vector(v: dict) -> tuple[tuple[SpectralFn, ...], GaussianTarget, str]:

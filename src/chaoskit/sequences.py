@@ -1,4 +1,4 @@
-"""Constructors of concrete eigenfunction sequences with known limits.
+"""Eigenfunction sequence families with known limits, and the table naming them.
 
 `spread(kind, p, n)` builds F_n = n^{-1/2} sum_{k<n} Q_p(X_k): a unit-variance
 eigenfunction with eigenvalue lambda_p whose fourth moment is exactly
@@ -10,6 +10,10 @@ is realized by block-sharing ceil(|rho| n) coordinates (negative rho flips the
 sign of the shared block).  The realized covariance is s/n, reported exactly;
 when p1 != p2 the covariance is zero no matter what rho was requested, since
 eigenfunctions of different levels are orthogonal.
+
+Every experiment, bound-check included, builds its vectors through a
+`SequenceSpec`, which reads the families from the one table `FAMILIES`: to
+add a family, add its entry there.
 """
 
 from __future__ import annotations
@@ -17,66 +21,73 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .basis import BasisKind, hermite
+from .basis import BasisKind, as_int, as_real, hermite
 from .spectral import SpectralFn, product_space
+
+
+def _check_spread(p: int, n: int = 1) -> None:
+    if p < 1 or n < 1:
+        raise ValueError(f"spread needs p, n >= 1, got p = {p}, n = {n}")
+
+
+def _check_pair_mixed(p1: int, p2: int, rho: float, n: int = 1) -> None:
+    if min(p1, p2, n) < 1:
+        raise ValueError(f"pair_mixed needs p1, p2, n >= 1, got {p1}, {p2}, {n}")
+    if not abs(rho) <= 1.0:  # also refuses NaN
+        raise ValueError(f"requested covariance {rho} is infeasible (|rho| <= 1)")
+
+
+# family -> ({parameter: as_int or as_real}, {optional parameter: default}, the
+# check of the values, the constructor of member n's components, the default
+# name of member n)
+FAMILIES = {
+    "spread": ({"p": as_int}, {}, _check_spread,
+               lambda kind, n, p: (spread(kind, p, n),), "spread({p},{n})"),
+    "pair_mixed": ({"p1": as_int, "p2": as_int, "rho": as_real}, {"rho": 0.0},
+                   _check_pair_mixed,
+                   lambda kind, n, p1, p2, rho: pair_mixed(p1, p2, rho, n, kind),
+                   "pair({p1},{p2},{rho},{n})"),
+}
 
 
 @dataclass(frozen=True)
 class SequenceSpec:
-    """CLI-facing description of a sequence family member."""
+    """A family of `FAMILIES` and its parameters, read by the strict number rule
+    and checked when the spec is made; `build(n)` is the tuple of member n's
+    components (a spread's is a 1-tuple)."""
 
-    family: str  # "spread" | "pair_mixed"
+    family: str
     kind: BasisKind
-    p: int = 0
-    p1: int = 0
-    p2: int = 0
-    rho: float = 0.0
+    params: dict  # parameter name -> value; one with a default may be left out
 
     def __post_init__(self) -> None:
-        if self.family not in ("spread", "pair_mixed"):
+        if self.family not in FAMILIES:
             raise ValueError(f"unknown sequence family {self.family!r}")
-        if self.family == "spread":
-            _check_spread(self.p)
-        else:
-            _check_pair_mixed(self.p1, self.p2, self.rho)
+        numbers, defaults, check = FAMILIES[self.family][:3]
+        given = {**defaults, **self.params}
+        params = {name: number(given.pop(name)) for name, number in numbers.items()}
+        if given:
+            raise ValueError(f"{self.family} has no parameter(s) {list(given)}")
+        check(**params)
+        object.__setattr__(self, "params", params)
 
-    def build(self, n: int):
-        if self.family == "spread":
-            return spread(self.kind, self.p, n)
-        return pair_mixed(self.p1, self.p2, self.rho, n, kind=self.kind)
+    def build(self, n: int) -> tuple[SpectralFn, ...]:
+        return FAMILIES[self.family][3](self.kind, n, **self.params)
+
+    def name(self, n: int) -> str:
+        """The default name of member n."""
+        return FAMILIES[self.family][4].format(n=n, **self.params)
 
     def to_json(self) -> dict:
-        out = {"family": self.family, "kind": self.kind.to_json()}
-        if self.family == "spread":
-            out["p"] = self.p
-        else:
-            out.update({"p1": self.p1, "p2": self.p2, "rho": self.rho})
-        return out
+        return {"family": self.family, "kind": self.kind.to_json(), **self.params}
 
     @classmethod
     def from_json(cls, obj: dict) -> "SequenceSpec":
-        kind = BasisKind.from_json(obj.get("kind", {"kind": "hermite"}))
-        family = obj["family"]
-        if family == "spread":
-            return cls(family, kind, p=int(obj["p"]))
-        if family == "pair_mixed":
-            return cls(
-                family, kind,
-                p1=int(obj["p1"]), p2=int(obj["p2"]), rho=float(obj.get("rho", 0.0)),
-            )
-        return cls(family, kind)  # refused by name, before any family key is read
-
-
-def _check_spread(p: int) -> None:
-    if p < 1:
-        raise ValueError("spread needs p >= 1")
-
-
-def _check_pair_mixed(p1: int, p2: int, rho: float) -> None:
-    if p1 < 1 or p2 < 1:
-        raise ValueError("pair_mixed needs p1, p2 >= 1")
-    if not abs(rho) <= 1.0:  # also refuses NaN
-        raise ValueError(f"requested covariance {rho} is infeasible (|rho| <= 1)")
+        """The spec of obj's `family`, `kind` (Hermite if left out) and family
+        parameters; no other key of obj is read."""
+        numbers = FAMILIES[obj["family"]][0] if obj["family"] in FAMILIES else {}
+        return cls(obj["family"], BasisKind.from_json(obj.get("kind", {"kind": "hermite"})),
+                   {name: obj[name] for name in numbers if name in obj})
 
 
 def _unit_terms(d: int, coords: range, p: int, w: float) -> dict:
@@ -91,17 +102,10 @@ def _unit_terms(d: int, coords: range, p: int, w: float) -> dict:
 
 def spread(kind: BasisKind, p: int, n: int) -> SpectralFn:
     """n^{-1/2} sum of the degree-p eigenfunction over n fresh coordinates."""
-    _check_spread(p)
-    if n < 1:
-        raise ValueError("spread needs n >= 1")
+    _check_spread(p, n)
     space = product_space(kind, 2 * p, n)
     w = 1.0 / math.sqrt(n)
     return SpectralFn(space, _unit_terms(n, range(n), p, w))
-
-
-def shared_coordinates(rho: float, n: int) -> int:
-    """Block size s = ceil(|rho| n) used to realize covariance s/n."""
-    return min(n, math.ceil(abs(rho) * n))
 
 
 def pair_mixed(p1: int, p2: int, rho: float, n: int,
@@ -113,11 +117,9 @@ def pair_mixed(p1: int, p2: int, rho: float, n: int,
     remaining n - s coordinates fresh.  The space has n + (n - s) coordinates
     with degree headroom 2 max(p1, p2).
     """
-    _check_pair_mixed(p1, p2, rho)
-    if n < 1:
-        raise ValueError("pair_mixed needs n >= 1")
+    _check_pair_mixed(p1, p2, rho, n)
     kind = hermite() if kind is None else kind
-    s = shared_coordinates(rho, n)
+    s = min(n, math.ceil(abs(rho) * n))
     d = 2 * n - s
     space = product_space(kind, 2 * max(p1, p2), d)
     w = 1.0 / math.sqrt(n)

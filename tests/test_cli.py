@@ -10,9 +10,11 @@ from pathlib import Path
 
 import pytest
 
-from chaoskit import moments, montecarlo
+from chaoskit import SequenceSpec, laguerre, moments, montecarlo, pair_mixed
 from chaoskit.cli import main
-from chaoskit.experiments import ConfigError, load_config, parse_config, run
+from chaoskit.experiments import (
+    ConfigError, build_test_vector, load_config, parse_config, run,
+)
 
 CONFIGS = sorted((Path(__file__).parent.parent / "configs").glob("*.json"))
 SPREAD = {"family": "spread", "kind": {"kind": "hermite", "params": []}, "p": 2}
@@ -286,6 +288,31 @@ def test_bound_check_small(tmp_path):
     assert all(r["pass"] == "true" for r in rows)
 
 
+def test_sequence_families_reach_bound_check(tmp_path):
+    """A bound-check vector is a sequence spec under `type`, plus `n` and
+    `scale`: it builds, bit for bit, what the sequence table builds, and a
+    small bound-check over a scaled Laguerre(1/2) spread and a pair passes."""
+    lag = {"kind": "laguerre", "params": [0.5]}
+    spread_v = {"type": "spread", "kind": lag, "p": 2, "n": 4, "scale": 0.5}
+    pair_v = {"type": "pair_mixed", "kind": lag, "p1": 2, "p2": 1, "rho": 0.25, "n": 3}
+    for v, expected, name in (
+        (spread_v, tuple(f.scale(0.5) for f in
+                         SequenceSpec("spread", laguerre(0.5), {"p": 2}).build(4)),
+         "spread(2,4)"),
+        (pair_v, pair_mixed(2, 1, 0.25, 3, kind=laguerre(0.5)), "pair(2,1,0.25,3)"),
+    ):
+        fs, _, built_name = build_test_vector(v)
+        assert [f.to_json() for f in fs] == [f.to_json() for f in expected]
+        assert built_name == name
+    cfg = write_config(tmp_path, {
+        "experiment": "bound-check", "vectors": [spread_v, pair_v],
+        "t_axis": [0.5, 1.0], "n_samples": 5000, "seed": 11, "out": str(tmp_path / "bc"),
+    })
+    assert main(["bound-check", "--config", cfg]) == 0
+    report = json.loads((tmp_path / "bc" / "report.json").read_text())
+    assert {row[0] for row in report["rows"]} == {"spread(2,4)", "pair(2,1,0.25,3)"}
+
+
 def test_module_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "chaoskit", "--help"],
@@ -401,9 +428,32 @@ def test_parse_config_validation():
         {"experiment": "fmt-verify", "sequence": dict(SPREAD, p=300), "n_grid": [1]},
         {"experiment": "bound-check", "vectors": [dict(q1, degree=300)]},
         {"experiment": "bound-check", "vectors": [q1], "seed": 2**200},
+        # Integers refuse bools, strings and fractions; reals refuse bools and strings.
+        {"experiment": "fmt-verify", "sequence": dict(SPREAD, p=2.7), "n_grid": [1]},
+        {"experiment": "fmt-verify", "sequence": SPREAD, "n_grid": [1.9, 2.5]},
+        {"experiment": "thm33-check", "count": True},
+        {"experiment": "thm33-check", "max_degree": "6"},
+        {"experiment": "thm33-check", "seed": 3.99},
+        {"experiment": "bound-check", "vectors": [q1], "n_samples": 10.5},
+        {"experiment": "product-formula-check", "p_max": 2.9},
+        {"experiment": "bound-check", "vectors": [dict(q1, degree=True)]},
+        {"experiment": "joint-verify", "n_grid": [1],
+         "sequence": {"family": "pair_mixed", "p1": 2, "p2": 2, "rho": True}},
+        {"experiment": "bound-check", "vectors": [dict(pair, rho=True)]},
+        {"experiment": "fmt-verify", "sequence": SPREAD, "n_grid": [1],
+         "tolerances": {"closed_form": "1e-9"}},
+        {"experiment": "thm33-check", "families": [{"kind": "laguerre", "params": ["0.5"]}]},
+        {"experiment": "chaos-check", "n_grid": [1],
+         "sequence": dict(SPREAD, kind={"kind": "laguerre", "params": ["0.5"]})},
+        {"experiment": "bound-check", "vectors": [dict(pair, p2=2.9)]},
     ):
         with pytest.raises(ConfigError):
             parse_config(obj)
+    # An integral float is an integer.
+    cfg = parse_config({"experiment": "bound-check", "vectors": [dict(pair, n=2.0)],
+                        "n_samples": 1e5, "seed": 3.0})
+    assert (cfg.n_samples, cfg.seed, cfg.vectors[0][1]) == (100000, 3, "pair(2,2,0.5,2)")
+    assert type(cfg.n_samples) is int and type(cfg.seed) is int
     # The grid is checked in each vector's own dimension: ||(1,)|| <= 1.2 < ||(1, 1)||.
     cfg = parse_config({"experiment": "bound-check", "vectors": [q1], "t_axis": [1.0],
                         "t_max": 1.2})

@@ -25,6 +25,7 @@ from chaoskit import (
     spread,
     var_gamma,
 )
+from chaoskit import sequences
 
 FAMILIES = [hermite(), laguerre(0.0), jacobi(2.0, 2.0)]
 
@@ -128,22 +129,46 @@ def test_validation_errors():
         pair_mixed(0, 2, 0.5, 3)
 
 
-def test_sequence_spec_round_trip():
-    spec = SequenceSpec("spread", hermite(), p=2)
-    again = SequenceSpec.from_json(spec.to_json())
-    assert again == spec
-    f = again.build(3)
-    assert abs(inner(f, f) - 1.0) <= 1e-12
+# One member of every family in the sequence table (a new family without one fails
+# the round trip), with its component count and its default name at n = 4.
+MEMBERS = {
+    "spread": ({"p": 2}, 1, "spread(2,4)"),
+    "pair_mixed": ({"p1": 2, "p2": 2, "rho": 0.5}, 2, "pair(2,2,0.5,4)"),
+}
 
-    spec = SequenceSpec("pair_mixed", hermite(), p1=2, p2=2, rho=0.5)
+
+@pytest.mark.parametrize("family", sorted(sequences.FAMILIES))
+def test_sequence_spec_round_trip(family):
+    params, dim, name = MEMBERS[family]
+    kind = laguerre(0.5)
+    spec = SequenceSpec(family, kind, params)
     again = SequenceSpec.from_json(spec.to_json())
     assert again == spec
-    f1, f2 = again.build(4)
+    fs = again.build(4)
+    assert isinstance(fs, tuple) and len(fs) == dim
+    for f in fs:
+        assert abs(inner(f, f) - 1.0) <= 1e-12
+    assert again.name(4) == name
+    # Integral floats are integers; a missing, unknown or non-number parameter,
+    # or a fraction where an integer is due, is refused.
+    assert SequenceSpec(family, kind, {k: float(v) for k, v in params.items()}) == spec
+    first = next(iter(params))
+    with pytest.raises(KeyError):
+        SequenceSpec(family, kind, {k: v for k, v in params.items() if k != first})
+    for bad in (2.5, True, "2", None):
+        with pytest.raises((TypeError, ValueError)):
+            SequenceSpec(family, kind, dict(params, **{first: bad}))
+    with pytest.raises(ValueError, match="'q'"):
+        SequenceSpec(family, kind, dict(params, q=1))
+
+
+def test_sequence_spec_checks_values():
+    assert SequenceSpec("pair_mixed", hermite(), {"p1": 2, "p2": 1}).params["rho"] == 0.0
+    f1, f2 = SequenceSpec("pair_mixed", hermite(), {"p1": 2, "p2": 2, "rho": 0.5}).build(4)
     assert abs(inner(f1, f2) - 0.5) <= 1e-12
-
     with pytest.raises(ValueError):
-        SequenceSpec("spread", hermite(), p=0)
+        SequenceSpec("spread", hermite(), {"p": 0})
     with pytest.raises(ValueError):
-        SequenceSpec("pair_mixed", hermite(), p1=2, p2=2, rho=2.0)
+        SequenceSpec("pair_mixed", hermite(), {"p1": 2, "p2": 2, "rho": 2.0})
     with pytest.raises(ValueError):
-        SequenceSpec("other", hermite(), p=1)
+        SequenceSpec("other", hermite(), {"p": 1})
