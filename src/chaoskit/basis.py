@@ -224,25 +224,31 @@ class Basis:
         return q, d1, d2
 
     def linearize(self, m: int, n: int) -> np.ndarray:
-        """Coefficients c_0..c_{m+n} of Q_m Q_n = sum_k c_k Q_k (cached, with
-        the term lists of `terms`).
+        """Coefficients c_0..c_{m+n} of Q_m Q_n = sum_k c_k Q_k: the array of
+        the `terms` entry."""
+        return self.terms(m, n)[0]
 
-        From Q_hi Q_0 = Q_hi, the recurrence runs lo = min(m, n) steps on
-        coefficient vectors, where x acts as the Jacobi operator.
+    def terms(self, m: int, n: int) -> tuple[np.ndarray, list, list]:
+        """The cache entry of Q_m Q_n: its read-only coefficient array c_0..c_{m+n},
+        its nonzero (k, c_k) and its nonzero carre du champ weights
+        (k, (lambda_m + lambda_n - lambda_k) c_k / 2), k ascending.
+
+        On a miss, from Q_hi Q_0 = Q_hi the recurrence runs lo = min(m, n) steps
+        on coefficient vectors, where x acts as the Jacobi operator, and the new
+        entry replaces the oldest once LIN_CACHE_SIZE are kept.
         """
-        if m < 0 or n < 0:
-            raise ValueError("degrees must be nonnegative")
-        if m + n > self.max_degree:
-            raise ValueError(
-                f"product degree {m + n} exceeds max_degree {self.max_degree}"
-            )
-        lo, hi = sorted((m, n))
-        hit = self._lin_cache.get((lo, hi))
+        key = (m, n) if m <= n else (n, m)
+        hit = self._lin_cache.get(key)
         if hit is not None:
-            return hit[0]
-        a = self.rec_a[: m + n + 1]
-        b = self.rec_b[: m + n + 1]
-        prev, cur = np.zeros(m + n + 1), np.zeros(m + n + 1)
+            return hit
+        lo, hi = key
+        if lo < 0:
+            raise ValueError("degrees must be nonnegative")
+        if lo + hi > self.max_degree:
+            raise ValueError(f"product degree {m + n} exceeds max_degree {self.max_degree}")
+        a = self.rec_a[: lo + hi + 1]
+        b = self.rec_b[: lo + hi + 1]
+        prev, cur = np.zeros(lo + hi + 1), np.zeros(lo + hi + 1)
         cur[hi] = 1.0
         for j in range(lo):
             nxt = (a - a[j]) * cur - b[j] * prev
@@ -253,21 +259,10 @@ class Basis:
         if len(self._lin_cache) >= LIN_CACHE_SIZE:
             self._lin_cache.popitem(last=False)
         lam, c = self.eigenvalue_list, cur.tolist()
-        top = lam[m] + lam[n]
-        self._lin_cache[(lo, hi)] = (cur, [(k, ck) for k, ck in enumerate(c) if ck],
-                                     [(k, w) for k, ck in enumerate(c)
-                                      if (w := 0.5 * (top - lam[k]) * ck)])
-        return cur
-
-    def terms(self, m: int, n: int) -> tuple[np.ndarray, list, list]:
-        """The cache entry of Q_m Q_n: `linearize(m, n)`, its nonzero (k, c_k) and
-        its nonzero carre du champ weights (k, (lambda_m + lambda_n - lambda_k) c_k / 2),
-        k ascending.  A miss goes through `linearize`, which refuses m + n > max_degree."""
-        key = (m, n) if m <= n else (n, m)
-        hit = self._lin_cache.get(key)
-        if hit is None:
-            self.linearize(m, n)
-            hit = self._lin_cache[key]
+        top = lam[lo] + lam[hi]
+        hit = self._lin_cache[key] = (
+            cur, [(k, ck) for k, ck in enumerate(c) if ck],
+            [(k, w) for k, ck in enumerate(c) if (w := 0.5 * (top - lam[k]) * ck)])
         return hit
 
 

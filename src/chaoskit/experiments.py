@@ -9,6 +9,8 @@ failures)`; `run` writes the reports, and a run passes when no gate failed.
 
 from __future__ import annotations
 
+import csv
+import io
 import itertools
 import json
 import math
@@ -259,9 +261,10 @@ def _write_reports(cfg: ExperimentConfig, columns: list[str], rows: list[list],
         "failures": failures,
     }
     _overwrite(jpath, json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    lines = [",".join(columns)]
-    lines.extend(",".join(_fmt_cell(v) for v in row) for row in rows)
-    _overwrite(cpath, "\n".join(lines) + "\n")
+    buf = io.StringIO()  # csv quotes a cell with a comma, such as jacobi(2,2)
+    csv.writer(buf, lineterminator="\n").writerows(
+        [columns, *([_fmt_cell(v) for v in row] for row in rows)])
+    _overwrite(cpath, buf.getvalue())
     return RunResult(passed, failures, jpath, cpath)
 
 

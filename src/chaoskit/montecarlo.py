@@ -153,7 +153,7 @@ def _layout(fns):
     columns has (column, basis, used degrees, first row) per (kind, column)
     some function uses, with the widest basis seen there; the used degrees
     take consecutive rows.  comps has each distinct component once, as its
-    terms (coefficient, row numbers) in `items_sorted` order, and fns[i] is
+    terms (coefficient, row numbers) in ascending key order, and fns[i] is
     comps[index[i]]: functions with the same terms on columns of the same
     kinds are one component, whatever their spaces."""
     used: dict[tuple, list] = {}  # (kind, column) -> [basis, used degrees]

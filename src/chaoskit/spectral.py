@@ -6,7 +6,9 @@ Q_alpha = Q_{alpha_1} x ... x Q_{alpha_d}.  The generator L = sum_i L_i acts
 diagonally with eigenvalue -Lambda(alpha), Lambda(alpha) = sum_i lambda_{alpha_i},
 which makes L, its pseudo-inverse, products, the carre du champ
 Gamma(F,G) = (L(FG) - F LG - G LF)/2, spectral projections and chaos-membership
-checks exact coefficient algebra.  Products and Gamma = sum_i Gamma_i
+checks exact coefficient algebra.  An expansion keeps its terms in ascending
+multi-index order from construction on, so every sum over them, and so every
+report byte, visits them in one order.  Products and Gamma = sum_i Gamma_i
 (tensorization) share one expansion of each pair of basis functions.  A pair
 (alpha, beta) costs one step per nonzero coordinate of beta, each a cached
 term-list lookup where alpha is nonzero too, plus one d-tuple per output term.
@@ -87,10 +89,10 @@ class SpectralFn:
         object.__setattr__(self, "coeffs", _clean_values(zip(keys, self.coeffs.values())))
 
     def items_sorted(self) -> list[tuple[MultiIndex, float]]:
-        return sorted(self.coeffs.items())
+        return list(self.coeffs.items())
 
     def support(self) -> list[MultiIndex]:
-        return sorted(self.coeffs)
+        return list(self.coeffs)
 
     def norm2(self) -> float:
         return float(sum(v * v for _, v in self.items_sorted()))
@@ -166,10 +168,10 @@ class SpectralFn:
 
 
 def _clean_values(items) -> dict[MultiIndex, float]:
-    """The coefficient dict of (multi-index, value) pairs: each value as a
-    float, a non-finite one refused, zeros dropped."""
+    """The coefficient dict of (multi-index, value) pairs, keys ascending: each
+    value as a float, a non-finite one refused, zeros dropped, a key's last nonzero kept."""
     clean: dict[MultiIndex, float] = {}
-    for alpha, value in items:
+    for alpha, value in sorted(items, key=itemgetter(0)):
         value = float(value)
         if not math.isfinite(value):
             raise ValueError(f"non-finite coefficient at {alpha}")

@@ -70,7 +70,7 @@ def _arrangements(key: IndexTuple):
 
 @dataclass(frozen=True)
 class SymTensor:
-    """Symmetric order-p tensor over R^m, stored on sorted index tuples."""
+    """Symmetric order-p tensor over R^m, stored on sorted index tuples kept in ascending order."""
 
     dim: int
     order: int
@@ -93,10 +93,10 @@ class SymTensor:
             value = float(value)
             if value != 0.0:
                 clean[key] = value
-        object.__setattr__(self, "entries", clean)
+        object.__setattr__(self, "entries", dict(sorted(clean.items())))  # by key: keys are unique
 
     def items_sorted(self) -> list[tuple[IndexTuple, float]]:
-        return sorted(self.entries.items())
+        return list(self.entries.items())
 
     def multiplicity(self, key: IndexTuple) -> int:
         return _multiplicity(self.order, key)

@@ -179,8 +179,8 @@ def pair_expand(f, g, carre: bool):
     """Reference `multiply` (carre False) or `gamma` (carre True): each pair
     Q_alpha Q_beta expanded over every coordinate, recursing over the numpy
     linearization arrays and skipping their zero entries.  The library's
-    expansion must give the same keys in the same insertion order and the
-    same bits."""
+    expansion must give the same keys (both stored ascending) and, adding into
+    each key in the same order, the same bits."""
     space = f.space
     acc = {}
     for alpha, fa in f.items_sorted():

@@ -327,6 +327,23 @@ def test_products_after_cache_cycles_match_cold(kind):
         assert len(warm._lin_cache) <= LIN_CACHE_SIZE
 
 
+def test_linearize_reads_the_terms_entry():
+    """linearize(m, n) is the array of the terms(n, m) entry, one miss through
+    either name adds exactly one cache entry, and a refused pair adds none."""
+    basis = _fresh(jacobi(2.0, 3.0), 12)
+    assert basis.linearize(2, 5) is basis.terms(5, 2)[0]
+    assert list(basis._lin_cache) == [(2, 5)]
+    _, lin, gam = basis.terms(4, 3)
+    assert basis.linearize(3, 4) is basis.terms(3, 4)[0]
+    assert list(basis._lin_cache) == [(2, 5), (3, 4)]
+    assert [k for k, _ in lin] == sorted(k for k, _ in lin) and gam
+    with pytest.raises(ValueError, match="degrees must be nonnegative"):
+        basis.terms(-1, 2)
+    with pytest.raises(ValueError, match="product degree 13 exceeds max_degree 12"):
+        basis.terms(7, 6)
+    assert len(basis._lin_cache) == 2
+
+
 def test_warm_cache_still_refuses_products_past_max_degree():
     """A product degree past max_degree is refused with the cold cache's
     ValueError even when every smaller product of those degrees is cached."""

@@ -195,6 +195,16 @@ def test_shipped_config_passes(path, tmp_path):
     assert run(load_config(path, out_override=tmp_path)).passed
 
 
+@pytest.mark.parametrize("path", CONFIGS, ids=[p.stem for p in CONFIGS])
+def test_shipped_report_csv_rows_have_header_width(path, tmp_path):
+    """A cell with a comma, such as thm33's family jacobi(2,2), is quoted, so
+    every row of report.csv reads back with the header's width."""
+    result = run(load_config(path, out_override=tmp_path))
+    with open(result.report_csv, newline="") as fh:
+        header, *rows = csv.reader(fh)
+    assert rows and {len(row) for row in rows} == {len(header)}
+
+
 def test_product_formula_and_chaos_check_run(tmp_path):
     cfg = write_config(tmp_path, {
         "experiment": "product-formula-check", "count": 10, "seed": 2,
@@ -311,6 +321,23 @@ def test_sequence_families_reach_bound_check(tmp_path):
     assert main(["bound-check", "--config", cfg]) == 0
     report = json.loads((tmp_path / "bc" / "report.json").read_text())
     assert {row[0] for row in report["rows"]} == {"spread(2,4)", "pair(2,1,0.25,3)"}
+
+
+def test_default_vector_names_read_back_from_csv(tmp_path):
+    """Default bound-check names such as pair(2,2,0.5,4) hold commas; csv.DictReader
+    reads each row of report.csv back with the name report.json gives it."""
+    report = run(parse_config({
+        "experiment": "bound-check",
+        "vectors": [{"type": "pair_mixed", "p1": 2, "p2": 2, "rho": 0.5, "n": 4},
+                    {"type": "spread", "kind": SPREAD["kind"], "p": 2, "n": 4}],
+        "t_axis": [0.5], "n_samples": 2000, "seed": 5,
+    }, out_override=str(tmp_path)))
+    rows = json.loads(report.report_json.read_text())["rows"]
+    with open(report.report_csv, newline="") as fh:
+        read = list(csv.DictReader(fh))
+    assert [r["vector"] for r in read] == [row[0] for row in rows]
+    assert {row[0] for row in rows} == {"pair(2,2,0.5,4)", "spread(2,4)"}
+    assert all(None not in r for r in read)  # no cell past the header
 
 
 def test_module_entry_point():

@@ -28,7 +28,7 @@ CSV_SHA256 = {
     "chaos_hermite2": "81173561ecffd45f97766c1f7c836a514bff14a55cd7e737ea8f19f434bdfa88",
     "fmt_hermite2": "e002d46a6f4e63bc2caa6c924d70bb8cebf1bf444be344ddb21b12862bcbce0b",
     "joint_pair": "d583b3fe9347ae3dd4ee6ae19ac2ef2a60da6cc6751c1a588fb7cf201f7defed",
-    "thm33": "6f3370b4a8efe7bb699ff802f8bcd361849daa97cd24fac2d9c77cb6deaad38c",
+    "thm33": "b35f5d70e2b171a9f79841825d32bb91a51cd0c85666d91724ec596c1a933d5b",
 }
 JSON_SHA256 = {
     "chaos_hermite2": "fb7f85e58669076496d8c8ff5813f5f68ab588afbb71ce24ad5deadf8e9bc8aa",

@@ -6,8 +6,9 @@ coordinate, so every triple product stays representable.  A second strategy
 draws elements of the p-th Hermite chaos, where the fourth-moment bound on
 Var Gamma is checked.  Mixed spaces draw each coordinate's family on its own.
 `multiply` and `gamma` are also compared bit for bit with the recursive pair
-expansion kept in `oracles`.  The runs are derandomized and keep no example
-database, so they repeat exactly.
+expansion kept in `oracles`, and expansions and kernels built from reordered
+dicts are checked to hold their terms with keys ascending.  The runs are
+derandomized and keep no example database, so they repeat exactly.
 """
 
 from __future__ import annotations
@@ -17,9 +18,9 @@ import itertools
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chaoskit import ProductSpace, SpectralFn, apply_L, apply_Linv, gamma, hermite, inner
-from chaoskit import jacobi, laguerre, make_basis, moment4, multiply, product_space, project
-from chaoskit import var_gamma
+from chaoskit import ProductSpace, SpectralFn, SymTensor, apply_L, apply_Linv, gamma, hermite
+from chaoskit import inner, jacobi, laguerre, make_basis, moment4, multiple_integral, multiply
+from chaoskit import product_space, project, var_gamma
 
 import oracles
 
@@ -120,14 +121,85 @@ def _bits(f: SpectralFn) -> list[tuple[tuple[int, ...], str]]:
 @settings(PROPERTY_SETTINGS, max_examples=200)
 @given(st.one_of(functions(2), functions(2, mixed=True)))
 def test_pair_expansion_bit_identical_to_reference(fg):
-    """multiply and gamma give the recursive reference expansion's keys, in its
-    insertion order, with the same bits; the reference skips the same zero
+    """multiply and gamma give the recursive reference expansion's keys with
+    the same bits; the reference skips the same zero
     linearization coefficients and zero Gamma weights (the top degree of a
     Hermite or Laguerre pair)."""
     f, g = fg
     for a, b in ((f, g), (g, f), (f, f)):
         assert _bits(multiply(a, b)) == _bits(oracles.pair_expand(a, b, carre=False))
         assert _bits(gamma(a, b)) == _bits(oracles.pair_expand(a, b, carre=True))
+
+
+def _reordered(data, f: SpectralFn) -> SpectralFn:
+    """f rebuilt from a dict of its terms in a drawn order."""
+    return SpectralFn(f.space, dict(data.draw(st.permutations(list(f.coeffs.items())))))
+
+
+def _results(f: SpectralFn, g: SpectralFn) -> list[SpectralFn]:
+    """f, g and what the algebra builds from them."""
+    prod = multiply(f, g)
+    top = max(map(f.space.eigenvalue, prod.coeffs), default=0.0)
+    return [f, g, prod, gamma(f, g), f.scale(-0.75), f + g, apply_Linv(f), project(prod, top)]
+
+
+@settings(PROPERTY_SETTINGS, max_examples=100)
+@given(st.one_of(functions(2), functions(2, mixed=True)), st.data())
+def test_terms_ascend_by_key_whatever_the_insertion_order(fg, data):
+    """However its dict was ordered, a SpectralFn holds its terms with keys
+    ascending, and `items_sorted` and `support` return them in that order; so
+    do multiply, gamma, scale, +, apply_Linv and project, bit for bit the same
+    for any insertion order of their operands' dicts."""
+    first = _results(*fg)
+    again = _results(*(_reordered(data, f) for f in fg))
+    for h, h2 in zip(first, again):
+        keys = list(h.coeffs)
+        assert keys == sorted(keys)
+        assert h.support() == keys and h.items_sorted() == list(h.coeffs.items())
+        assert _bits(h2) == _bits(h)
+
+
+@PROPERTY_SETTINGS
+@given(functions(1), st.floats(-1.0, 1.0))
+def test_duplicate_key_after_normalization_keeps_the_last(fs, value):
+    """Keys that normalize to one multi-index (int() cuts a float degree) keep
+    the last nonzero value given, wherever the first of them stood."""
+    (f,) = fs
+    alpha = next(iter(f.coeffs))
+    twin = tuple(d + 0.5 for d in alpha)
+    later = SpectralFn(f.space, {**f.coeffs, twin: value}).coeffs
+    assert later == ({**f.coeffs, alpha: value} if value else f.coeffs)
+    assert SpectralFn(f.space, {twin: value, **f.coeffs}).coeffs == f.coeffs
+    assert list(later) == sorted(later)
+
+
+@st.composite
+def kernels(draw):
+    """(dim, order, entries) of a random symmetric kernel, its entries' dict
+    in drawn order."""
+    dim, order = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    key = st.lists(st.integers(0, dim - 1), min_size=order, max_size=order).map(
+        lambda k: tuple(sorted(k)))
+    entries = st.dictionaries(key, st.floats(-1.0, 1.0).filter(bool), min_size=1, max_size=6)
+    return dim, order, draw(entries)
+
+
+@PROPERTY_SETTINGS
+@given(kernels(), st.data())
+def test_kernel_entries_ascend_whatever_the_insertion_order(kernel, data):
+    """A SymTensor holds its entries with keys ascending, whatever the order of
+    its dict, so its multiple integral comes out bit for bit the same; of keys
+    that normalize to one index tuple the last nonzero value is kept."""
+    dim, order, entries = kernel
+    f = SymTensor(dim, order, entries)
+    g = SymTensor(dim, order, dict(data.draw(st.permutations(list(entries.items())))))
+    assert list(f.entries) == sorted(f.entries)
+    assert f.items_sorted() == list(f.entries.items()) == list(g.entries.items())
+    assert _bits(multiple_integral(g)) == _bits(multiple_integral(f))
+    key = next(iter(entries))
+    twin = tuple(i + 0.5 for i in key)
+    assert SymTensor(dim, order, {**entries, twin: 2.0}).entries[key] == 2.0
+    assert SymTensor(dim, order, {twin: 2.0, **entries}).entries[key] == entries[key]
 
 
 @st.composite
