@@ -58,6 +58,13 @@ def as_int(value) -> int:
     return int(value)
 
 
+def as_ints(values) -> tuple[int, ...]:
+    """tuple(map(as_int, values)), without a call per value when all are ints."""
+    if set(map(type, values)) <= {int}:
+        return tuple(values)
+    return tuple(map(as_int, values))
+
+
 @dataclass(frozen=True)
 class BasisKind:
     """Tag plus parameters selecting one of the pinned 1-D generators."""
@@ -207,12 +214,11 @@ class Basis:
             np.divide((x - a[k]) * out[k] - b[k] * out[k - 1], b[k + 1], out=out[k + 1])
         return out
 
-    def eval_with_derivatives(self, x: np.ndarray, deg: int | None = None,
-                              ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(Q, Q', Q'') rows 0..deg at x: Q from `eval_all`, its derivatives by
-        the differentiated recurrence."""
+    def eval_with_derivatives(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(Q, Q', Q'') rows 0..max_degree at x: Q from `eval_all`, its
+        derivatives by the differentiated recurrence."""
         x = np.atleast_1d(np.asarray(x, dtype=float))
-        q = self.eval_all(x, deg)
+        q = self.eval_all(x)
         a, b = self.rec_a, self.rec_b
         d1 = np.zeros_like(q)
         d2 = np.zeros_like(q)

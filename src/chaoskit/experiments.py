@@ -27,12 +27,11 @@ from .moments import CSV_COLUMNS, GaussianTarget
 from .sequences import SequenceSpec
 from .spectral import CHAOS_TOL, SpectralFn, product_space
 
-DEFAULT_TOLERANCES = {
-    "closed_form": 1e-9,
-    "chaos": CHAOS_TOL,
-    "thm33": 1e-8,
-    "product_formula": 1e-10,
-}
+# Gate tolerances.  Every quantity gated is exact coefficient algebra, so each
+# tolerance absorbs double-precision rounding only.
+CLOSED_FORM_TOL = 1e-9
+THM33_TOL = 1e-8
+PRODUCT_FORMULA_TOL = 1e-10
 
 
 class ConfigError(ValueError):
@@ -96,7 +95,6 @@ def _sequence(obj, where: str = "sequence", family: str = "family",
 
 
 _at_least_one = _checked(as_int, lambda n: n >= 1, "must be >= 1")
-_positive = _checked(as_real, lambda x: x > 0, "must be positive")
 _finite = _checked(as_real, math.isfinite, "must be finite")
 _t_axis = _checked(lambda xs: tuple(map(_finite, xs)), bool, "must not be empty")
 _seed = _checked(as_int, lambda s: 0 <= s < 2**64, "must be an unsigned 64-bit integer")
@@ -123,7 +121,6 @@ class ExperimentConfig:
     experiment: str
     seed: int
     out: Path
-    tolerances: dict  # the tolerances the experiment reads, defaults filled in
     raw: dict
 
 
@@ -194,17 +191,13 @@ def parse_config(obj: dict, seed_override: int | None = None,
     experiment = _require(obj, "experiment")
     if experiment not in EXPERIMENTS:
         raise ConfigError(f"unknown experiment {experiment!r}, not one of {EXPERIMENTS}")
-    cls, tolerance_names, _ = _EXPERIMENTS[experiment]
+    cls, _ = _EXPERIMENTS[experiment]
     options = {f.name: f for f in fields(cls) if "conv" in f.metadata}
-    _object(obj, "config", ("experiment", "seed", "out", "tolerances", *options))
+    _object(obj, "config", ("experiment", "seed", "out", *options))
     seed = obj.get("seed", 0) if seed_override is None else seed_override
     out = obj.get("out", f"reports/{experiment}") if out_override is None else out_override
-    given = _object(obj.get("tolerances", {}), "tolerances", tolerance_names)
     values = {name: _convert(repr(name), _require(obj, name), f.metadata["conv"])
               for name, f in options.items() if name in obj or f.default is MISSING}
-    values["tolerances"] = {
-        name: _convert(f"tolerance {name!r}", given.get(name, DEFAULT_TOLERANCES[name]),
-                       _positive) for name in tolerance_names}
     return cls(experiment=experiment, raw=dict(obj), seed=_convert("'seed'", seed, _seed),
                out=_convert("'out'", out, Path), **values)
 
@@ -273,13 +266,12 @@ def _write_reports(cfg: ExperimentConfig, columns: list[str], rows: list[list],
 
 def _run_chaos_check(cfg: ExperimentConfig):
     spec = cfg.sequence
-    tol = cfg.tolerances["chaos"]
     columns = ["n", "component", "eigenvalue", "chaotic", "n_offending", "max_mass"]
     rows: list[list] = []
     failures: list[str] = []
     for n in cfg.n_grid:
         fs = spec.build(n)
-        verdict = spectral.is_chaotic_vector(fs, tol)
+        verdict = spectral.is_chaotic_vector(fs)
         for i, j, chk in verdict.pairs:
             if i == j:
                 rows.append([
@@ -293,13 +285,12 @@ def _run_chaos_check(cfg: ExperimentConfig):
                          max(masses, default=0.0)])
         if not verdict.ok:
             failures.append(f"chaos-check: not chaotic at n={n}")
-    summary = {"tol": tol, "all_chaotic": not failures}
+    summary = {"tol": CHAOS_TOL, "all_chaotic": not failures}
     return columns, rows, summary, failures
 
 
 def _run_fmt_verify(cfg: ExperimentConfig):
     spec = cfg.sequence
-    tol = cfg.tolerances["closed_form"]
     ref = moments.fmt_report(*spec.build(1))  # Q_p on a single coordinate
     columns = [
         "n", "m2", "m4", "m4_expected", "m4_abs_err",
@@ -309,7 +300,7 @@ def _run_fmt_verify(cfg: ExperimentConfig):
     rows: list[list] = []
     failures: list[str] = []
     for n in cfg.n_grid:
-        rep = moments.fmt_report(*spec.build(n), cfg.tolerances["chaos"])
+        rep = moments.fmt_report(*spec.build(n))
         m4_exp = 3.0 + (ref.m4 - 3.0) / n
         vg_exp = ref.var_gamma / n
         m4_err = abs(rep.m4 - m4_exp)
@@ -318,9 +309,9 @@ def _run_fmt_verify(cfg: ExperimentConfig):
             n, rep.m2, rep.m4, m4_exp, m4_err,
             rep.var_gamma, vg_exp, vg_err, rep.chaotic, rep.centered,
         ])
-        if m4_err > tol:
+        if m4_err > CLOSED_FORM_TOL:
             failures.append(f"fmt-verify: |m4 - expected| = {m4_err:.3e} at n={n}")
-        if vg_err > tol:
+        if vg_err > CLOSED_FORM_TOL:
             failures.append(f"fmt-verify: |var_gamma - expected| = {vg_err:.3e} at n={n}")
         if not rep.chaotic:
             failures.append(f"fmt-verify: sequence element not chaotic at n={n}")
@@ -337,8 +328,6 @@ def _run_fmt_verify(cfg: ExperimentConfig):
 def _run_joint_verify(cfg: ExperimentConfig):
     spec = cfg.sequence
     p1, p2, rho = (spec.params[key] for key in ("p1", "p2", "rho"))
-    tol = cfg.tolerances["closed_form"]
-    chaos_tol = cfg.tolerances["chaos"]
     # The mixed moment has a closed form only for equal levels.
     g_m4 = moments.moment4(sequences.spread(spec.kind, p1, 1)) if p1 == p2 else None
     columns = ["n"] + list(CSV_COLUMNS)
@@ -348,7 +337,7 @@ def _run_joint_verify(cfg: ExperimentConfig):
     for n in cfg.n_grid:
         f1, f2 = spec.build(n)
         cov = moments._covariance((f1, f2))
-        rep = moments.joint_report((f1, f2), GaussianTarget(cov), chaos_tol)
+        rep = moments.joint_report((f1, f2), GaussianTarget(cov))
         rho_n = float(cov[0, 1])
         m22_err = None
         if g_m4 is not None:
@@ -370,7 +359,7 @@ def _run_joint_verify(cfg: ExperimentConfig):
         rows.extend([n] + row for row in rep.csv_rows())
         if not rep.chaotic_vector:
             failures.append(f"joint-verify: vector not jointly chaotic at n={n}")
-        if m22_err is not None and m22_err > tol:
+        if m22_err is not None and m22_err > CLOSED_FORM_TOL:
             failures.append(
                 f"joint-verify: mixed22 closed-form error {m22_err:.3e} at n={n}"
             )
@@ -458,7 +447,6 @@ def random_span_function(space, rng: np.random.Generator,
 
 
 def _run_thm33_check(cfg: ExperimentConfig):
-    tol = cfg.tolerances["thm33"]
     columns = [
         "instance", "family", "dim", "support", "lambda_max", "eta",
         "lhs", "rhs", "margin", "violation",
@@ -475,7 +463,7 @@ def _run_thm33_check(cfg: ExperimentConfig):
         eta = lam_max if i % 5 == 0 else lam_max * (1.0 + float(rng.uniform(0, 1)))
         lhs, rhs = moments.thm33_sides(f, eta)
         scale = max(1.0, abs(lhs), abs(rhs))
-        bad = lhs > rhs + tol * scale
+        bad = lhs > rhs + THM33_TOL * scale
         rows.append([
             i, kind.label(), d, len(f.coeffs), lam_max, eta, lhs, rhs,
             rhs - lhs, bad,
@@ -498,7 +486,6 @@ def random_sym_tensor(dim: int, order: int, rng: np.random.Generator) -> wiener.
 
 
 def _run_product_formula_check(cfg: ExperimentConfig):
-    tol = cfg.tolerances["product_formula"]
     columns = ["instance", "p", "m", "lhs", "rhs", "abs_err", "allowed", "pass"]
     rng = np.random.default_rng(cfg.seed)
     rows: list[list] = []
@@ -510,7 +497,7 @@ def _run_product_formula_check(cfg: ExperimentConfig):
         g = random_sym_tensor(m, p, rng)
         lhs, rhs = wiener.product_formula_check(f, g)
         err = abs(lhs - rhs)
-        allowed = tol * (1.0 + abs(lhs))
+        allowed = PRODUCT_FORMULA_TOL * (1.0 + abs(lhs))
         ok = err <= allowed
         rows.append([i, p, m, lhs, rhs, err, allowed, ok])
         if not ok:
@@ -522,15 +509,14 @@ def _run_product_formula_check(cfg: ExperimentConfig):
     return columns, rows, summary, failures
 
 
-# experiment -> (its config class, the tolerances it reads, its runner)
+# experiment -> (its config class, its runner)
 _EXPERIMENTS = {
-    "chaos-check": (SequenceConfig, ("chaos",), _run_chaos_check),
-    "fmt-verify": (SequenceConfig, ("closed_form", "chaos"), _run_fmt_verify),
-    "joint-verify": (SequenceConfig, ("closed_form", "chaos"), _run_joint_verify),
-    "bound-check": (BoundCheckConfig, (), _run_bound_check),
-    "thm33-check": (Thm33Config, ("thm33",), _run_thm33_check),
-    "product-formula-check": (ProductFormulaConfig, ("product_formula",),
-                              _run_product_formula_check),
+    "chaos-check": (SequenceConfig, _run_chaos_check),
+    "fmt-verify": (SequenceConfig, _run_fmt_verify),
+    "joint-verify": (SequenceConfig, _run_joint_verify),
+    "bound-check": (BoundCheckConfig, _run_bound_check),
+    "thm33-check": (Thm33Config, _run_thm33_check),
+    "product-formula-check": (ProductFormulaConfig, _run_product_formula_check),
 }
 EXPERIMENTS = tuple(_EXPERIMENTS)
 
@@ -540,5 +526,5 @@ def run(cfg: ExperimentConfig) -> RunResult:
     is created first.  Raises OSError where that directory cannot be made or
     written."""
     cfg.out.mkdir(parents=True, exist_ok=True)
-    columns, rows, summary, failures = _EXPERIMENTS[cfg.experiment][2](cfg)
+    columns, rows, summary, failures = _EXPERIMENTS[cfg.experiment][1](cfg)
     return _write_reports(cfg, columns, rows, summary, failures)

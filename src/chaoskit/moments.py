@@ -25,7 +25,6 @@ import numpy as np
 
 from .basis import EPS_ORTH
 from .spectral import (
-    CHAOS_TOL,
     EPS_GROUP,
     SpectralFn,
     _check_same_space,
@@ -190,7 +189,7 @@ def _remainder(c: GaussianTarget, i: int, j: int, lam_i: float, lam_j: float,
 
 
 def remainder_r(f_i: SpectralFn, f_j: SpectralFn, c: GaussianTarget,
-                i: int, j: int, tol: float = CHAOS_TOL) -> float:
+                i: int, j: int) -> float:
     """Mixed-moment remainder R_ij of the supplied eigenfunction pair.
 
     Uses the pair's exact covariances; vanishes exactly when
@@ -199,7 +198,7 @@ def remainder_r(f_i: SpectralFn, f_j: SpectralFn, c: GaussianTarget,
     (eigenfunctions of different levels are orthogonal).
     """
     _check_same_space(f_i, f_j)
-    lam_i, lam_j = eigenfunction_eigenvalue(f_i, tol), eigenfunction_eigenvalue(f_j, tol)
+    lam_i, lam_j = eigenfunction_eigenvalue(f_i), eigenfunction_eigenvalue(f_j)
     return _remainder(c, i, j, lam_i, lam_j, inner(f_i, f_i), inner(f_j, f_j),
                       inner(f_i, f_j), mixed22(f_i, f_j))
 
@@ -246,25 +245,24 @@ class JointReport:
         return rows
 
 
-def fmt_report(f: SpectralFn, tol: float = CHAOS_TOL) -> FmtReport:
+def fmt_report(f: SpectralFn) -> FmtReport:
     """FmtReport of F, with F^2 built once for int F^4 and the chaos check."""
     sq = multiply(f, f)
-    lam = eigenfunction_eigenvalue(f, tol)
+    lam = eigenfunction_eigenvalue(f)
     return FmtReport(
         m2=inner(f, f),
         m4=inner(sq, sq),
         var_gamma=var_gamma(f, f),
-        chaotic=_vector_chaos((f,), [lam], [sq], tol).ok,
+        chaotic=_vector_chaos((f,), [lam], [sq]).ok,
         centered=abs(f.integral()) <= EPS_ORTH,
     )
 
 
 def joint_report(fs: list[SpectralFn] | tuple[SpectralFn, ...],
-                 c: GaussianTarget | np.ndarray,
-                 tol: float = CHAOS_TOL) -> JointReport:
+                 c: GaussianTarget | np.ndarray) -> JointReport:
     """Pairwise diagnostics of a centered eigenfunction vector.  Each F_i^2 and
     each Gamma(F_i, -L^-1 F_j) is built once; chaotic_vector is
-    is_chaotic_vector(fs, tol).ok, decided from the same squares and the
+    is_chaotic_vector(fs).ok, decided from the same squares and the
     d(d-1)/2 cross products F_i F_j (7 pair expansions in all at d = 2).
     Every entry equals inner, mixed22, remainder_r, var_gamma(F_i, -L^-1 F_j)
     or prop31_bound of the same inputs bit for bit."""
@@ -272,8 +270,8 @@ def joint_report(fs: list[SpectralFn] | tuple[SpectralFn, ...],
     c = _target(fs, c)
     d = len(fs)
     squares = [multiply(f, f) for f in fs]
-    lams = tuple(eigenfunction_eigenvalue(f, tol) for f in fs)
-    chaotic = _vector_chaos(fs, lams, squares, tol).ok
+    lams = tuple(eigenfunction_eigenvalue(f) for f in fs)
+    chaotic = _vector_chaos(fs, lams, squares).ok
     gammas = _gammas(fs)
     cov = _covariance(fs)
     m22 = np.zeros((d, d))

@@ -23,7 +23,7 @@ from operator import itemgetter
 
 import numpy as np
 
-from .basis import Basis, BasisKind, make_basis
+from .basis import Basis, BasisKind, as_int, as_ints, make_basis
 
 EPS_GROUP = 1e-9
 CHAOS_TOL = 1e-8
@@ -83,7 +83,7 @@ class SpectralFn:
     coeffs: dict
 
     def __post_init__(self) -> None:
-        keys = [tuple(int(d) for d in alpha) for alpha in self.coeffs]
+        keys = [as_ints(alpha) for alpha in self.coeffs]
         for alpha in keys:
             self.space.validate_index(alpha)
         object.__setattr__(self, "coeffs", _clean_values(zip(keys, self.coeffs.values())))
@@ -157,7 +157,7 @@ class SpectralFn:
         coords = []
         for ent in obj["space"]:
             kind = BasisKind.from_json(ent)
-            coords.append(make_basis(kind, int(ent["max_degree"])))
+            coords.append(make_basis(kind, as_int(ent["max_degree"])))
         space = ProductSpace(tuple(coords))
         coeffs = {tuple(alpha): v for alpha, v in obj["coeffs"]}
         return cls(space, coeffs)
@@ -168,8 +168,8 @@ class SpectralFn:
 
 
 def _clean_values(items) -> dict[MultiIndex, float]:
-    """The coefficient dict of (multi-index, value) pairs, keys ascending: each
-    value as a float, a non-finite one refused, zeros dropped, a key's last nonzero kept."""
+    """The coefficient dict of (multi-index, value) pairs with distinct keys,
+    keys ascending: each value as a float, a non-finite one refused, zeros dropped."""
     clean: dict[MultiIndex, float] = {}
     for alpha, value in sorted(items, key=itemgetter(0)):
         value = float(value)
@@ -319,12 +319,13 @@ def _level_norm(f: SpectralFn, members: list[MultiIndex]) -> float:
     return out if math.isfinite(out) else math.hypot(*(f.coeffs[a] for a in members))
 
 
-def eigenfunction_eigenvalue(f: SpectralFn, tol: float = CHAOS_TOL) -> float:
-    """Eigenvalue of F, requiring a single spectral level up to relative mass tol."""
+def eigenfunction_eigenvalue(f: SpectralFn) -> float:
+    """Eigenvalue of F, requiring a single spectral level up to relative mass CHAOS_TOL."""
     if f.is_zero():
         raise ValueError("the zero function is not an eigenfunction")
     nrm = f.norm()
-    significant = [lam for lam, members in spectrum(f) if _level_norm(f, members) > tol * nrm]
+    significant = [lam for lam, members in spectrum(f)
+                   if _level_norm(f, members) > CHAOS_TOL * nrm]
     if len(significant) != 1:
         raise ValueError(f"not an eigenfunction: spectral mass on eigenvalues {significant}")
     return significant[0]
@@ -336,7 +337,7 @@ class ChaosCheck:
 
     `offenders` lists (eigenvalue, relative mass) for every spectral level of
     the product lying above `limit`; the check passes when all those masses
-    stay at or below the tolerance used.
+    stay at or below CHAOS_TOL.
     """
 
     ok: bool
@@ -348,8 +349,7 @@ class ChaosCheck:
         return self.ok
 
 
-def _membership(prod: SpectralFn, limit: float, tol: float,
-                eigenvalue: float) -> ChaosCheck:
+def _membership(prod: SpectralFn, limit: float, eigenvalue: float) -> ChaosCheck:
     nrm = prod.norm()
     if not math.isfinite(nrm):
         raise ValueError(f"product norm is not finite ({nrm}); chaos masses are undefined")
@@ -363,25 +363,24 @@ def _membership(prod: SpectralFn, limit: float, tol: float,
             continue
         mass = _level_norm(prod, members) / nrm
         offenders.append((lam, mass))
-        if mass > tol:
+        if mass > CHAOS_TOL:
             ok = False
     return ChaosCheck(ok, eigenvalue, limit, tuple(offenders))
 
 
-def is_chaotic(f: SpectralFn, tol: float = CHAOS_TOL) -> ChaosCheck:
+def is_chaotic(f: SpectralFn) -> ChaosCheck:
     """Does F^2 expand only over eigenvalues <= 2 Lambda_F?  (chaos eigenfunction)"""
-    lam = eigenfunction_eigenvalue(f, tol)
-    return _membership(multiply(f, f), 2.0 * lam, tol, lam)
+    lam = eigenfunction_eigenvalue(f)
+    return _membership(multiply(f, f), 2.0 * lam, lam)
 
 
-def is_jointly_chaotic(f: SpectralFn, g: SpectralFn,
-                       tol: float = CHAOS_TOL) -> ChaosCheck:
+def is_jointly_chaotic(f: SpectralFn, g: SpectralFn) -> ChaosCheck:
     """Does FG expand only over eigenvalues <= Lambda_F + Lambda_G?
 
     A vanishing product is jointly chaotic by convention (vacuous membership).
     """
-    lam = eigenfunction_eigenvalue(f, tol) + eigenfunction_eigenvalue(g, tol)
-    return _membership(multiply(f, g), lam, tol, lam)
+    lam = eigenfunction_eigenvalue(f) + eigenfunction_eigenvalue(g)
+    return _membership(multiply(f, g), lam, lam)
 
 
 @dataclass(frozen=True)
@@ -393,8 +392,7 @@ class VectorChaosCheck:
         return self.ok
 
 
-def is_chaotic_vector(fs: list[SpectralFn] | tuple[SpectralFn, ...],
-                      tol: float = CHAOS_TOL) -> VectorChaosCheck:
+def is_chaotic_vector(fs: list[SpectralFn] | tuple[SpectralFn, ...]) -> VectorChaosCheck:
     """Joint chaos of every unordered pair of components, including i = j.
 
     Entry (i, i) is is_chaotic(F_i) and entry (i, j), i < j, is
@@ -405,18 +403,17 @@ def is_chaotic_vector(fs: list[SpectralFn] | tuple[SpectralFn, ...],
         raise ValueError("empty vector")
     for f in fs[1:]:
         _check_same_space(fs[0], f)
-    lams = [eigenfunction_eigenvalue(f, tol) for f in fs]
-    return _vector_chaos(fs, lams, [multiply(f, f) for f in fs], tol)
+    lams = [eigenfunction_eigenvalue(f) for f in fs]
+    return _vector_chaos(fs, lams, [multiply(f, f) for f in fs])
 
 
-def _vector_chaos(fs: tuple[SpectralFn, ...], eigenvalues, squares,
-                  tol: float) -> VectorChaosCheck:
+def _vector_chaos(fs: tuple[SpectralFn, ...], eigenvalues, squares) -> VectorChaosCheck:
     """is_chaotic_vector from the components' eigenvalues and squares F_i^2;
     builds each cross product F_i F_j (i < j) once."""
     pairs = []
     for i, (f, lam, sq) in enumerate(zip(fs, eigenvalues, squares)):
-        pairs.append((i, i, _membership(sq, 2.0 * lam, tol, lam)))
+        pairs.append((i, i, _membership(sq, 2.0 * lam, lam)))
         for j in range(i + 1, len(fs)):
             lam_ij = lam + eigenvalues[j]
-            pairs.append((i, j, _membership(multiply(f, fs[j]), lam_ij, tol, lam_ij)))
+            pairs.append((i, j, _membership(multiply(f, fs[j]), lam_ij, lam_ij)))
     return VectorChaosCheck(all(chk.ok for _, _, chk in pairs), tuple(pairs))

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import hermite
+from .basis import as_ints, hermite
 from .spectral import ProductSpace, SpectralFn, inner, multiply, product_space, project
 
 IndexTuple = tuple[int, ...]
@@ -83,7 +83,7 @@ class SymTensor:
             raise ValueError("order must be >= 1")
         clean: dict[IndexTuple, float] = {}
         for key, value in self.entries.items():
-            key = tuple(int(i) for i in key)
+            key = as_ints(key)
             if len(key) != self.order:
                 raise ValueError(f"index tuple {key} has wrong length")
             if any(i < 0 or i >= self.dim for i in key):

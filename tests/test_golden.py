@@ -32,9 +32,9 @@ CSV_SHA256 = {
 }
 JSON_SHA256 = {
     "chaos_hermite2": "fb7f85e58669076496d8c8ff5813f5f68ab588afbb71ce24ad5deadf8e9bc8aa",
-    "fmt_hermite2": "ffbd690b78ccbed8f5d1eb924acfc9d0087ad971ef64fbfff773eb96c9835c1e",
-    "joint_pair": "2b5d94a0e0424620dbe361efde338f4a52ef7d43274c7bfca4cd401528da849f",
-    "thm33": "41cea22781fab063c5343cc6f5d2efa78e9361d7bab622862349f2b2d4819cb0",
+    "fmt_hermite2": "2b5866c19484e46052c731a21b3dee1e009493b7296f7961f8ffb97081996237",
+    "joint_pair": "c9f33df48efc4b07e781ffdf3861317471a02329d1a7c62a4a5f635970fb07b1",
+    "thm33": "a303c716b3a78756b7368a03711b22582c93d9059ea04a163870c8a9c7218333",
 }
 
 

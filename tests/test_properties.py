@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import itertools
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -160,17 +161,28 @@ def test_terms_ascend_by_key_whatever_the_insertion_order(fg, data):
 
 
 @PROPERTY_SETTINGS
-@given(functions(1), st.floats(-1.0, 1.0))
-def test_duplicate_key_after_normalization_keeps_the_last(fs, value):
-    """Keys that normalize to one multi-index (int() cuts a float degree) keep
-    the last nonzero value given, wherever the first of them stood."""
+@given(functions(1), st.data())
+def test_fractional_bool_and_string_degrees_are_refused(fs, data):
+    """A degree is read by `as_int`: a fraction, a bool or a string is refused,
+    also in a JSON file, where int() would move its coefficient onto another
+    basis function; an integral float is its integer."""
     (f,) = fs
     alpha = next(iter(f.coeffs))
-    twin = tuple(d + 0.5 for d in alpha)
-    later = SpectralFn(f.space, {**f.coeffs, twin: value}).coeffs
-    assert later == ({**f.coeffs, alpha: value} if value else f.coeffs)
-    assert SpectralFn(f.space, {twin: value, **f.coeffs}).coeffs == f.coeffs
-    assert list(later) == sorted(later)
+    i = data.draw(st.integers(0, len(alpha) - 1))
+    for bad in (alpha[i] + 0.5, alpha[i] > 0, str(alpha[i])):
+        twin = alpha[:i] + (bad,) + alpha[i + 1:]
+        with pytest.raises(TypeError, match="expected an integer"):
+            SpectralFn(f.space, {twin: 1.0})
+        obj = f.to_dict()
+        obj["coeffs"][0][0] = list(twin)
+        with pytest.raises(TypeError, match="expected an integer"):
+            SpectralFn.from_dict(obj)
+    obj = f.to_dict()
+    obj["space"][i]["max_degree"] += 0.5
+    with pytest.raises(TypeError, match="expected an integer"):
+        SpectralFn.from_dict(obj)
+    floats = SpectralFn(f.space, {tuple(map(float, a)): v for a, v in f.coeffs.items()})
+    assert _bits(floats) == _bits(f) and all(type(d) is int for a in floats.coeffs for d in a)
 
 
 @st.composite
@@ -188,8 +200,8 @@ def kernels(draw):
 @given(kernels(), st.data())
 def test_kernel_entries_ascend_whatever_the_insertion_order(kernel, data):
     """A SymTensor holds its entries with keys ascending, whatever the order of
-    its dict, so its multiple integral comes out bit for bit the same; of keys
-    that normalize to one index tuple the last nonzero value is kept."""
+    its dict, so its multiple integral comes out bit for bit the same; an index
+    that is a fraction, a bool or a string is refused."""
     dim, order, entries = kernel
     f = SymTensor(dim, order, entries)
     g = SymTensor(dim, order, dict(data.draw(st.permutations(list(entries.items())))))
@@ -197,9 +209,9 @@ def test_kernel_entries_ascend_whatever_the_insertion_order(kernel, data):
     assert f.items_sorted() == list(f.entries.items()) == list(g.entries.items())
     assert _bits(multiple_integral(g)) == _bits(multiple_integral(f))
     key = next(iter(entries))
-    twin = tuple(i + 0.5 for i in key)
-    assert SymTensor(dim, order, {**entries, twin: 2.0}).entries[key] == 2.0
-    assert SymTensor(dim, order, {twin: 2.0, **entries}).entries[key] == entries[key]
+    for bad in (key[-1] + 0.5, key[-1] > 0, str(key[-1])):
+        with pytest.raises(TypeError, match="expected an integer"):
+            SymTensor(dim, order, {key[:-1] + (bad,): 2.0})
 
 
 @st.composite

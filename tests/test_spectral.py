@@ -389,7 +389,7 @@ def test_membership_vacuous_on_vanishing_product():
     """A vanishing product is jointly chaotic by convention."""
     from chaoskit.spectral import _membership
 
-    chk = _membership(SpectralFn(H2, {}), limit=2.0, tol=1e-8, eigenvalue=2.0)
+    chk = _membership(SpectralFn(H2, {}), limit=2.0, eigenvalue=2.0)
     assert chk.ok and chk.offenders == ()
 
 
@@ -405,7 +405,7 @@ def test_overflowing_product_raises_instead_of_passing():
     huge = SpectralFn(H1, {(0,): 1.5e308, (4,): 1.5e308})
     assert huge.norm() == math.inf
     with pytest.raises(ValueError, match="not finite"):
-        _membership(huge, limit=2.0, tol=1e-8, eigenvalue=1.0)
+        _membership(huge, limit=2.0, eigenvalue=1.0)
 
 
 def test_algebra_results_refuse_overflow():
@@ -466,7 +466,7 @@ def test_level_masses_finite_where_squares_overflow():
     from chaoskit.spectral import _membership
 
     f = SpectralFn(product_space(hermite(), 4, 1), {(0,): 1e200, (4,): 1e160})
-    chk = _membership(f, limit=2.0, tol=1e-8, eigenvalue=1.0)
+    chk = _membership(f, limit=2.0, eigenvalue=1.0)
     assert chk.ok
     [(lam, mass)] = chk.offenders
     assert lam == 4.0 and abs(mass / 1e-40 - 1) <= 1e-15
