@@ -103,7 +103,7 @@ _n_grid = _checked(lambda ns: tuple(map(as_int, ns)),
                    "must be a nonempty, strictly increasing list of integers >= 1")
 _families = _checked(lambda objs: tuple(map(_kind, objs)), bool, "must not be empty")
 _vectors = _checked(
-    lambda specs: tuple(_convert(f"vector spec {v!r}", v, _test_vector) for v in specs),
+    lambda specs: tuple(_convert(f"vector spec {v!r}", v, build_test_vector) for v in specs),
     bool, "must not be empty")
 
 
@@ -139,13 +139,13 @@ class SequenceConfig(ExperimentConfig):
 
 @dataclass(frozen=True, kw_only=True)
 class BoundCheckConfig(ExperimentConfig):
-    vectors: tuple[tuple[tuple[SpectralFn, ...], str], ...] = _field(_vectors)  # (fs, name)
+    vectors: tuple[tuple[tuple[SpectralFn, ...], GaussianTarget, str], ...] = _field(_vectors)
     n_samples: int = _field(_at_least_one, 100_000)
     t_axis: tuple[float, ...] = _field(_t_axis, (0.25, 0.5, 1.0, 2.0))
     t_max: float = _field(_finite, 3.0)
 
     def __post_init__(self) -> None:
-        for fs, name in self.vectors:
+        for fs, _, name in self.vectors:
             if not t_grid(self.t_axis, len(fs), self.t_max):
                 raise ConfigError(f"vector {name!r} has no grid point with ||t|| <= t_max")
 
@@ -335,10 +335,9 @@ def _run_joint_verify(cfg: ExperimentConfig):
     per_n = []
     failures: list[str] = []
     for n in cfg.n_grid:
-        f1, f2 = spec.build(n)
-        cov = moments._covariance((f1, f2))
-        rep = moments.joint_report((f1, f2), GaussianTarget(cov))
-        rho_n = float(cov[0, 1])
+        fs = spec.build(n)
+        rep = moments.joint_report(fs, moments.exact_target(fs))
+        rho_n = float(rep.cov[0, 1])
         m22_err = None
         if g_m4 is not None:
             # int F1^2 F2^2 does not see the sign of the shared block.
@@ -370,12 +369,14 @@ def _run_joint_verify(cfg: ExperimentConfig):
     return columns, rows, {"per_n": per_n}, failures
 
 
-def _test_vector(v: dict) -> tuple[tuple[SpectralFn, ...], str]:
-    """The components and name of a bound-check vector: a sequence spec with
-    `type` naming the family, `n` picking the member, `scale` multiplying
-    every component and `name` (default: the family's member name).  The
-    alias {"type": "eigenfunction", "degree": p} is spread's Q_p at n = 1,
-    named <kind label>-Q<p>.  Raises as `build_test_vector` does."""
+def build_test_vector(v: dict) -> tuple[tuple[SpectralFn, ...], GaussianTarget, str]:
+    """The components, exact-covariance target and name of a bound-check vector,
+    as the config holds them: a sequence spec with `type` naming the family,
+    `n` picking the member, `scale` multiplying every component and `name`
+    (default: the family's member name).  The alias {"type": "eigenfunction",
+    "degree": p} is spread's Q_p at n = 1, named <kind label>-Q<p>.  A missing
+    field raises KeyError, a malformed or out-of-range one (a non-finite second
+    moment too) ValueError or TypeError, a refused basis RuntimeError."""
     alias = v.get("type") == "eigenfunction"
     if alias:
         _object(v, "vector spec", ("type", "name", "kind", "degree", "scale"))
@@ -386,20 +387,8 @@ def _test_vector(v: dict) -> tuple[tuple[SpectralFn, ...], str]:
     fs = spec.build(n)
     if "scale" in v:
         fs = tuple(f.scale(as_real(v["scale"])) for f in fs)
-    for f in fs:  # the covariance needs finite second moments
-        spectral.inner(f, f)
     name = f"{spec.kind.label()}-Q{spec.params['p']}" if alias else spec.name(n)
-    return fs, str(v.get("name", name))
-
-
-def build_test_vector(v: dict) -> tuple[tuple[SpectralFn, ...], GaussianTarget, str]:
-    """Construct a named test vector and its exact covariance from a config entry.
-
-    A missing field raises KeyError, a malformed or out-of-range one ValueError
-    or TypeError (from the constructors), a refused basis RuntimeError.
-    """
-    fs, name = _test_vector(v)
-    return fs, GaussianTarget(moments._covariance(fs)), name
+    return fs, moments.exact_target(fs), str(v.get("name", name))
 
 
 def t_grid(axis: tuple[float, ...], dim: int, t_max: float) -> list[np.ndarray]:
@@ -409,13 +398,15 @@ def t_grid(axis: tuple[float, ...], dim: int, t_max: float) -> list[np.ndarray]:
 
 
 def _run_bound_check(cfg: ExperimentConfig):
+    """The CF gap of each vector against the target parsed with it, at each
+    grid point, gated by ||t||^2 prop31 + 3 stderr; no covariance is built."""
     columns = ["vector", "t", "t_norm", "gap", "stderr", "prop31", "rhs", "pass"]
     rows: list[list] = []
     failures: list[str] = []
-    checks = [(fs, GaussianTarget(moments._covariance(fs)),
-               t_grid(cfg.t_axis, len(fs), cfg.t_max)) for fs, _ in cfg.vectors]
+    checks = [(fs, target, t_grid(cfg.t_axis, len(fs), cfg.t_max))
+              for fs, target, _ in cfg.vectors]
     gaps = montecarlo.sampled_cf_gaps(checks, cfg.n_samples, cfg.seed)
-    for (fs, target, ts), (_, name), vector_gaps in zip(checks, cfg.vectors, gaps):
+    for (fs, target, ts), (_, _, name), vector_gaps in zip(checks, cfg.vectors, gaps):
         bound = moments.prop31_bound(fs, target)
         for t, (gap, stderr) in zip(ts, vector_gaps):
             tn = float(np.linalg.norm(t))

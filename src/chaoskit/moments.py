@@ -49,18 +49,28 @@ class GaussianTarget:
     cov: np.ndarray
 
     def __post_init__(self) -> None:
-        c = np.asarray(self.cov, dtype=float)
+        c = np.array(self.cov, dtype=float)  # a copy, frozen below
         if c.ndim == 0:
             c = c.reshape(1, 1)
         if c.ndim != 2 or c.shape[0] != c.shape[1]:
             raise ValueError("covariance must be a square matrix")
+        if not np.isfinite(c).all():  # NaN and inf pass every comparison below
+            raise ValueError("covariance entries must be finite")
         if np.abs(c - c.T).max() > 1e-12:
             raise ValueError("covariance matrix is not symmetric")
         if np.linalg.eigvalsh(c).min() < -1e-10:
             raise ValueError("covariance matrix is not positive semidefinite")
-        c = c.copy()
         c.setflags(write=False)
         object.__setattr__(self, "cov", c)
+
+    @classmethod
+    def of(cls, c: "GaussianTarget | np.ndarray", dim: int) -> "GaussianTarget":
+        """c, a target or a covariance matrix, as a target; refused unless it has
+        dim components.  Every function that takes a target converts it here."""
+        c = c if isinstance(c, cls) else cls(c)
+        if c.dim != dim:
+            raise ValueError("covariance dimension does not match component count")
+        return c
 
     @property
     def dim(self) -> int:
@@ -129,14 +139,13 @@ def thm33_sides(f: SpectralFn, eta: float) -> tuple[float, float]:
 
 
 def _gammas(fs: tuple[SpectralFn, ...]) -> list[list[SpectralFn]]:
-    return [[gamma(fi, -apply_Linv(fj)) for fj in fs] for fi in fs]
+    inverses = [-apply_Linv(f) for f in fs]  # each -L^-1 F_j built once
+    return [[gamma(fi, g) for g in inverses] for fi in fs]
 
 
 def _target(fs: tuple[SpectralFn, ...], c: GaussianTarget | np.ndarray) -> GaussianTarget:
     """c as a GaussianTarget for the components fs, which must be centered."""
-    c = c if isinstance(c, GaussianTarget) else GaussianTarget(np.asarray(c))
-    if c.dim != len(fs):
-        raise ValueError("covariance dimension does not match component count")
+    c = GaussianTarget.of(c, len(fs))
     for k, f in enumerate(fs):
         if abs(f.integral()) > EPS_ORTH:
             raise ValueError(f"component {k} is not centered (mean {f.integral()})")
@@ -146,6 +155,11 @@ def _target(fs: tuple[SpectralFn, ...], c: GaussianTarget | np.ndarray) -> Gauss
 def _covariance(fs: list[SpectralFn] | tuple[SpectralFn, ...]) -> np.ndarray:
     """Exact covariance matrix [[int F_i F_j dmu]] of the components."""
     return np.array([[inner(f, g) for g in fs] for f in fs])
+
+
+def exact_target(fs: list[SpectralFn] | tuple[SpectralFn, ...]) -> GaussianTarget:
+    """N(0, C) for C the exact covariance of the components."""
+    return GaussianTarget(_covariance(fs))
 
 
 def _prop31(gammas: list[list[SpectralFn]], c: GaussianTarget) -> float:

@@ -241,13 +241,11 @@ def _gaps(vectors, n: int, column) -> list[list[tuple[float, float]]]:
     plans, fns = [], []
     for fs, c, ts in vectors:
         fs = tuple(fs)
-        c = c if isinstance(c, GaussianTarget) else GaussianTarget(np.asarray(c))
+        c = GaussianTarget.of(c, len(fs))
         ts = [np.asarray(t, dtype=float) for t in ts]
         for t in ts:
             if t.shape != (len(fs),):
                 raise ValueError(f"t has shape {t.shape}, expected ({len(fs)},)")
-        if c.dim != len(fs):
-            raise ValueError("covariance dimension does not match component count")
         freqs = [sorted({float(t[k]) for t in ts if t[k] != 0.0}, key=abs)
                  for k in range(len(fs))]
         ks = [k for k in range(len(fs)) if freqs[k]]

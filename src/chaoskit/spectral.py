@@ -21,8 +21,6 @@ import math
 from dataclasses import dataclass
 from operator import itemgetter
 
-import numpy as np
-
 from .basis import Basis, BasisKind, as_int, as_ints, make_basis
 
 EPS_GROUP = 1e-9
@@ -98,12 +96,8 @@ class SpectralFn:
         return float(sum(v * v for _, v in self.items_sorted()))
 
     def norm(self) -> float:
-        """L2 norm; finite whenever it is representable, even where the sum of
-        squares overflows (as for some Laguerre products near the degree limit)."""
-        out = float(np.sqrt(self.norm2()))
-        if math.isfinite(out):
-            return out
-        return math.hypot(*self.coeffs.values())  # rescales by the max |coefficient|
+        """L2 norm, finite whenever it is representable (see `_l2_norm`)."""
+        return _l2_norm(self.coeffs.values())
 
     def integral(self) -> float:
         """Mean of F under mu (the coefficient of the constant Q_0 x ... x Q_0)."""
@@ -309,14 +303,13 @@ def project(f: SpectralFn, eigenvalue: float) -> SpectralFn:
     return _result(f.space, kept)
 
 
-def _level_norm(f: SpectralFn, members: list[MultiIndex]) -> float:
-    """L2 norm of F's terms on `members`; rescaled by math.hypot, like
-    SpectralFn.norm, only where the plain sum of squares leaves the float range."""
-    try:
-        out = float(np.sqrt(sum(f.coeffs[a] ** 2 for a in members)))
-    except OverflowError:  # a float square past the range
-        out = math.inf
-    return out if math.isfinite(out) else math.hypot(*(f.coeffs[a] for a in members))
+def _l2_norm(values) -> float:
+    """L2 norm of coefficients (a function's, or one level's): the square root
+    of the sum of v*v, recomputed by math.hypot, which rescales by the largest
+    |v|, only where that sum leaves the float range."""
+    values = list(values)
+    out = math.sqrt(sum(v * v for v in values))
+    return out if math.isfinite(out) else math.hypot(*values)
 
 
 def eigenfunction_eigenvalue(f: SpectralFn) -> float:
@@ -325,7 +318,7 @@ def eigenfunction_eigenvalue(f: SpectralFn) -> float:
         raise ValueError("the zero function is not an eigenfunction")
     nrm = f.norm()
     significant = [lam for lam, members in spectrum(f)
-                   if _level_norm(f, members) > CHAOS_TOL * nrm]
+                   if _l2_norm(f.coeffs[a] for a in members) > CHAOS_TOL * nrm]
     if len(significant) != 1:
         raise ValueError(f"not an eigenfunction: spectral mass on eigenvalues {significant}")
     return significant[0]
@@ -361,7 +354,7 @@ def _membership(prod: SpectralFn, limit: float, eigenvalue: float) -> ChaosCheck
     for lam, members in spectrum(prod):
         if lam - limit <= slack:
             continue
-        mass = _level_norm(prod, members) / nrm
+        mass = _l2_norm(prod.coeffs[a] for a in members) / nrm
         offenders.append((lam, mass))
         if mass > CHAOS_TOL:
             ok = False

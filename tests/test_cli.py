@@ -352,8 +352,9 @@ def test_module_entry_point():
     assert "chaoskit" in proc.stdout
 
 
-def test_parse_config_builds_no_covariance(monkeypatch):
-    """Bound-check vectors are validated without the covariance the run builds."""
+def test_bound_check_builds_each_covariance_once(monkeypatch, tmp_path):
+    """A bound-check request builds each vector's Gaussian target once, while
+    the config is parsed, and the run uses the parsed targets as they are."""
     made = []
     plain = moments.GaussianTarget.__post_init__
 
@@ -362,15 +363,19 @@ def test_parse_config_builds_no_covariance(monkeypatch):
         plain(self)
 
     monkeypatch.setattr(moments.GaussianTarget, "__post_init__", counting)
-    cfg = load_config(Path(__file__).parent.parent / "configs" / "bound_check.json")
-    assert len(cfg.vectors) == 6 and made == []
+    cfg = load_config(Path(__file__).parent.parent / "configs" / "bound_check.json",
+                      out_override=str(tmp_path))
+    assert len(cfg.vectors) == 6
+    assert made == [target for _, target, _ in cfg.vectors]
+    run(cfg)
+    assert len(made) == 6
     # A scale whose second moment overflows is refused with the message the
-    # covariance would raise.
+    # covariance raises.
     q1 = {"type": "eigenfunction", "degree": 1, "scale": 1e200}
     with pytest.raises(ConfigError,
                        match=r"bad vector spec .*: inner product is not finite \(inf\)"):
         parse_config({"experiment": "bound-check", "vectors": [q1]})
-    assert made == []
+    assert len(made) == 6
 
 
 Q1 = {"type": "eigenfunction", "degree": 1}
@@ -477,7 +482,7 @@ def test_parse_config_validation():
     # An integral float is an integer.
     cfg = parse_config({"experiment": "bound-check", "vectors": [dict(pair, n=2.0)],
                         "n_samples": 1e5, "seed": 3.0})
-    assert (cfg.n_samples, cfg.seed, cfg.vectors[0][1]) == (100000, 3, "pair(2,2,0.5,2)")
+    assert (cfg.n_samples, cfg.seed, cfg.vectors[0][2]) == (100000, 3, "pair(2,2,0.5,2)")
     assert type(cfg.n_samples) is int and type(cfg.seed) is int
     # The grid is checked in each vector's own dimension: ||(1,)|| <= 1.2 < ||(1, 1)||.
     cfg = parse_config({"experiment": "bound-check", "vectors": [q1], "t_axis": [1.0],

@@ -91,6 +91,21 @@ def test_gaussian_target_validation():
         GaussianTarget(np.array([[1.0, 2.0], [2.0, 1.0]]))  # indefinite
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_gaussian_target_refuses_non_finite_entries(bad):
+    """NaN and inf pass the symmetry and eigenvalue checks (every comparison
+    with NaN is false), so they are refused on their own, also where a
+    function takes the covariance as an array."""
+    for cov in ([[bad]], [[1.0, bad], [bad, 1.0]], [[bad, 0.0], [0.0, 1.0]]):
+        with pytest.raises(ValueError, match="must be finite"):
+            GaussianTarget(cov)
+    f = q(H1, 2, coeff=2 ** -0.5)
+    with pytest.raises(ValueError, match="must be finite"):
+        prop31_bound([f], [[bad]])
+    with pytest.raises(ValueError, match="must be finite"):
+        joint_report([f], np.array([[bad]]))
+
+
 def test_a_coeff_examples():
     assert a_coeff(2.0, 2.0) == 1.0
     assert abs(a_coeff(2.0, 4.0) - 4.0 / 3.0) < 1e-15

@@ -31,6 +31,7 @@ from chaoskit import (
     pair_mixed,
     product_space,
     sample,
+    sampled_cf_gaps,
     spread,
 )
 from chaoskit.basis import Basis
@@ -266,6 +267,14 @@ def test_cf_gap_validation():
             cf_gaps(fs, np.eye(2), ts, batch)
     with pytest.raises(ValueError, match="covariance dimension"):
         cf_gaps(fs, np.eye(1), [[1.0, 0.0], [0.0, 1.0]], batch)
+    # Against a variance of inf, Q_2/sqrt(2) got the plausible-looking gap
+    # 0.8328 (0.104 against its variance 0.5), and against NaN a NaN gap.
+    g = spread(hermite(), 2, 1).scale(2 ** -0.5)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="must be finite"):
+            sampled_cf_gaps([([g], [[bad]], [[1.0]])], 1000, 1)
+        with pytest.raises(ValueError, match="must be finite"):
+            cf_gap([g], np.array([[bad]]), [1.0], sample(g.space, 1000, 1))
 
 
 @pytest.mark.parametrize("fs, ts, n, seed", [

@@ -473,6 +473,20 @@ def test_level_masses_finite_where_squares_overflow():
     assert eigenfunction_eigenvalue(f) == 0.0
 
 
+def test_mass_of_the_only_level_is_one():
+    """Level masses and SpectralFn.norm square by v*v in one helper.  With
+    the level's squares by v ** 2 (libm pow), a function whose three terms
+    share one level got that level the mass 1.0000000000000002."""
+    from chaoskit.spectral import _membership
+
+    vs = [float.fromhex(h) for h in
+          ("-0x1.df4c807ebb238p+28", "-0x1.5a8f48586d3b2p+9", "0x1.d2c71432f7780p-60")]
+    keys = [(2, 0, 0), (0, 2, 0), (0, 0, 2)]
+    f = SpectralFn(product_space(hermite(), 4, 3), dict(zip(keys, vs)))
+    assert f.norm() == math.sqrt(sum(v * v for v in reversed(vs)))  # ascending keys
+    assert _membership(f, limit=0.0, eigenvalue=0.0).offenders == ((2.0, 1.0),)
+
+
 def test_chaotic_vector_examples():
     """The vector's i = j entries are is_chaotic(F_i) (limit 2 lambda_i, eigenvalue
     lambda_i), its i < j entries is_jointly_chaotic(F_i, F_j), field for field,
