@@ -65,6 +65,14 @@ def as_ints(values) -> tuple[int, ...]:
     return tuple(map(as_int, values))
 
 
+def as_reals(values) -> tuple[float, ...]:
+    """tuple(map(as_real, values)), without a call per value when all are floats."""
+    values = tuple(values)
+    if set(map(type, values)) <= {float}:
+        return values
+    return tuple(map(as_real, values))
+
+
 @dataclass(frozen=True)
 class BasisKind:
     """Tag plus parameters selecting one of the pinned 1-D generators."""

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import moments, montecarlo, sequences, spectral, wiener
 from .basis import BasisKind, as_int, as_real, hermite, jacobi, laguerre, make_basis
-from .moments import CSV_COLUMNS, GaussianTarget
+from .moments import GaussianTarget
 from .sequences import SequenceSpec
 from .spectral import CHAOS_TOL, SpectralFn, product_space
 
@@ -330,13 +330,14 @@ def _run_joint_verify(cfg: ExperimentConfig):
     p1, p2, rho = (spec.params[key] for key in ("p1", "p2", "rho"))
     # The mixed moment has a closed form only for equal levels.
     g_m4 = moments.moment4(sequences.spread(spec.kind, p1, 1)) if p1 == p2 else None
-    columns = ["n"] + list(CSV_COLUMNS)
+    columns = ["n", "i", "j", "lambda_i", "lambda_j", "cov", "mixed22", "isserlis", "r_ij",
+               "var_gamma_ij"]
     rows: list[list] = []
     per_n = []
     failures: list[str] = []
     for n in cfg.n_grid:
         fs = spec.build(n)
-        rep = moments.joint_report(fs, moments.exact_target(fs))
+        rep = moments.joint_report(fs)
         rho_n = float(rep.cov[0, 1])
         m22_err = None
         if g_m4 is not None:
@@ -355,7 +356,10 @@ def _run_joint_verify(cfg: ExperimentConfig):
             "mixed22_closed_form_err": m22_err,
             "chaotic_vector": rep.chaotic_vector,
         })
-        rows.extend([n] + row for row in rep.csv_rows())
+        lams = rep.eigenvalues
+        mats = (rep.cov, rep.mixed22, rep.isserlis, rep.r_matrix, rep.var_gamma_m)
+        rows.extend([n, i, j, lams[i], lams[j], *(float(m[i, j]) for m in mats)]
+                    for i, j in itertools.product(range(len(fs)), repeat=2))
         if not rep.chaotic_vector:
             failures.append(f"joint-verify: vector not jointly chaotic at n={n}")
         if m22_err is not None and m22_err > CLOSED_FORM_TOL:
@@ -426,7 +430,9 @@ def _run_bound_check(cfg: ExperimentConfig):
 
 def random_span_function(space, rng: np.random.Generator,
                          max_terms: int = 6) -> SpectralFn:
-    """Random sparse function over the space's multi-indices (test helper)."""
+    """Random sparse function over the space's multi-indices: thm33-check's
+    instance generator, drawing up to max_terms terms with coefficients
+    uniform in [-1, 1]."""
     n_terms = int(rng.integers(1, max_terms + 1))
     coeffs = {}
     for _ in range(n_terms):

@@ -12,8 +12,10 @@ and the remainder
            - C_ij^2 (1 - a_ij) / lambda_j,      a_ij = 2 lambda_j / (lambda_i + lambda_j),
 
 which measures how far the mixed moment int F_i^2 F_j^2 is from its Gaussian
-value.  Covariances entering R_ij are the exact ones of the supplied pair.
-Tolerances only absorb double-precision rounding.
+value.  R_ij and every entry of `joint_report` use the exact covariance of the
+supplied functions, which `exact_target` builds; only `prop31_bound` (and the
+Monte Carlo CF gaps) take a Gaussian target, since the distance to any
+N(0, C) is defined.  Tolerances only absorb double-precision rounding.
 """
 
 from __future__ import annotations
@@ -36,12 +38,6 @@ from .spectral import (
     multiply,
 )
 
-CSV_COLUMNS = (
-    "i", "j", "lambda_i", "lambda_j", "cov", "mixed22", "isserlis", "r_ij",
-    "var_gamma_ij",
-)
-
-
 @dataclass(frozen=True, eq=False)
 class GaussianTarget:
     """Covariance matrix of the centered Gaussian comparison vector."""
@@ -49,7 +45,10 @@ class GaussianTarget:
     cov: np.ndarray
 
     def __post_init__(self) -> None:
-        c = np.array(self.cov, dtype=float)  # a copy, frozen below
+        c = np.array(self.cov)  # a copy, frozen below
+        if c.dtype.kind not in "fiu":  # a bool, string or object array: not read as numbers
+            raise TypeError(f"covariance entries must be real numbers, got {c.dtype}")
+        c = c.astype(float, copy=False)
         if c.ndim == 0:
             c = c.reshape(1, 1)
         if c.ndim != 2 or c.shape[0] != c.shape[1]:
@@ -152,14 +151,10 @@ def _target(fs: tuple[SpectralFn, ...], c: GaussianTarget | np.ndarray) -> Gauss
     return c
 
 
-def _covariance(fs: list[SpectralFn] | tuple[SpectralFn, ...]) -> np.ndarray:
-    """Exact covariance matrix [[int F_i F_j dmu]] of the components."""
-    return np.array([[inner(f, g) for g in fs] for f in fs])
-
-
 def exact_target(fs: list[SpectralFn] | tuple[SpectralFn, ...]) -> GaussianTarget:
-    """N(0, C) for C the exact covariance of the components."""
-    return GaussianTarget(_covariance(fs))
+    """N(0, C) for C = [[int F_i F_j dmu]], the exact covariance of the
+    components; the one place a vector's covariance is built."""
+    return GaussianTarget([[inner(f, g) for g in fs] for f in fs])
 
 
 def _prop31(gammas: list[list[SpectralFn]], c: GaussianTarget) -> float:
@@ -184,16 +179,15 @@ def prop31_bound(fs: list[SpectralFn] | tuple[SpectralFn, ...],
     return _prop31(_gammas(fs), c)
 
 
-def _remainder(c: GaussianTarget, i: int, j: int, lam_i: float, lam_j: float,
-               c_ii: float, c_jj: float, c_ij: float, m22: float) -> float:
+def _remainder(lam_i: float, lam_j: float, c_ii: float, c_jj: float, c_ij: float,
+               m22: float) -> float:
     """R_ij from the eigenvalues, exact covariances and mixed moment of a pair."""
     if lam_i <= 0.0 or lam_j <= 0.0:
         raise ValueError("constant components are not admissible (zero eigenvalue)")
     distinct = abs(lam_i - lam_j) > EPS_GROUP * (1.0 + max(lam_i, lam_j))
-    if distinct and abs(c.entry(i, j)) > 1e-12:
+    if distinct and abs(c_ij) > 1e-12:
         raise ValueError(
-            f"C[{i},{j}] must vanish across distinct eigenvalues "
-            f"({lam_i} vs {lam_j})"
+            f"C_ij = {c_ij} must vanish across distinct eigenvalues ({lam_i} vs {lam_j})"
         )
     a_ij = a_coeff(lam_i, lam_j)
     return (
@@ -202,18 +196,18 @@ def _remainder(c: GaussianTarget, i: int, j: int, lam_i: float, lam_j: float,
     )
 
 
-def remainder_r(f_i: SpectralFn, f_j: SpectralFn, c: GaussianTarget,
-                i: int, j: int) -> float:
+def remainder_r(f_i: SpectralFn, f_j: SpectralFn) -> float:
     """Mixed-moment remainder R_ij of the supplied eigenfunction pair.
 
-    Uses the pair's exact covariances; vanishes exactly when
-    int F_i^2 F_j^2 dmu equals the Gaussian value C_ii C_jj + 2 C_ij^2.
-    For distinct eigenvalues the target covariance C_ij must be zero
-    (eigenfunctions of different levels are orthogonal).
+    Uses the pair's exact covariances C_ii, C_jj and C_ij; vanishes exactly
+    when int F_i^2 F_j^2 dmu equals the Gaussian value C_ii C_jj + 2 C_ij^2.
+    Across distinct eigenvalues a |C_ij| above 1e-12 raises ValueError: the
+    pair is then not a pair of eigenfunctions of different levels, which are
+    orthogonal.
     """
     _check_same_space(f_i, f_j)
     lam_i, lam_j = eigenfunction_eigenvalue(f_i), eigenfunction_eigenvalue(f_j)
-    return _remainder(c, i, j, lam_i, lam_j, inner(f_i, f_i), inner(f_j, f_j),
+    return _remainder(lam_i, lam_j, inner(f_i, f_i), inner(f_j, f_j),
                       inner(f_i, f_j), mixed22(f_i, f_j))
 
 
@@ -242,21 +236,7 @@ class JointReport:
     r_matrix: np.ndarray
     var_gamma_m: np.ndarray
     prop31: float
-    chaotic_vector: bool  # is_chaotic_vector(fs).ok; not serialized
-
-    def csv_rows(self) -> list[list]:
-        """One row per ordered pair (i, j), columns as in CSV_COLUMNS."""
-        d = len(self.eigenvalues)
-        rows = []
-        for i in range(d):
-            for j in range(d):
-                rows.append([
-                    i, j, self.eigenvalues[i], self.eigenvalues[j],
-                    float(self.cov[i, j]), float(self.mixed22[i, j]),
-                    float(self.isserlis[i, j]), float(self.r_matrix[i, j]),
-                    float(self.var_gamma_m[i, j]),
-                ])
-        return rows
+    chaotic_vector: bool  # is_chaotic_vector(fs).ok
 
 
 def fmt_report(f: SpectralFn) -> FmtReport:
@@ -272,22 +252,22 @@ def fmt_report(f: SpectralFn) -> FmtReport:
     )
 
 
-def joint_report(fs: list[SpectralFn] | tuple[SpectralFn, ...],
-                 c: GaussianTarget | np.ndarray) -> JointReport:
-    """Pairwise diagnostics of a centered eigenfunction vector.  Each F_i^2 and
-    each Gamma(F_i, -L^-1 F_j) is built once; chaotic_vector is
+def joint_report(fs: list[SpectralFn] | tuple[SpectralFn, ...]) -> JointReport:
+    """Pairwise diagnostics of a centered eigenfunction vector against its own
+    exact covariance C = exact_target(fs), built once.  Each F_i^2 and each
+    Gamma(F_i, -L^-1 F_j) is built once; chaotic_vector is
     is_chaotic_vector(fs).ok, decided from the same squares and the
     d(d-1)/2 cross products F_i F_j (7 pair expansions in all at d = 2).
     Every entry equals inner, mixed22, remainder_r, var_gamma(F_i, -L^-1 F_j)
-    or prop31_bound of the same inputs bit for bit."""
+    or prop31_bound(fs, exact_target(fs)) bit for bit."""
     fs = tuple(fs)
-    c = _target(fs, c)
+    c = _target(fs, exact_target(fs))
+    cov = c.cov
     d = len(fs)
     squares = [multiply(f, f) for f in fs]
     lams = tuple(eigenfunction_eigenvalue(f) for f in fs)
     chaotic = _vector_chaos(fs, lams, squares).ok
     gammas = _gammas(fs)
-    cov = _covariance(fs)
     m22 = np.zeros((d, d))
     iss = np.zeros((d, d))
     rmat = np.zeros((d, d))
@@ -296,8 +276,8 @@ def joint_report(fs: list[SpectralFn] | tuple[SpectralFn, ...],
         for j in range(d):
             m22[i, j] = inner(squares[i], squares[j])
             iss[i, j] = gaussian_mixed(c, i, j)
-            rmat[i, j] = _remainder(c, i, j, lams[i], lams[j],
-                                    cov[i, i], cov[j, j], cov[i, j], m22[i, j])
+            rmat[i, j] = _remainder(lams[i], lams[j], cov[i, i], cov[j, j], cov[i, j],
+                                    m22[i, j])
             vg[i, j] = _variance(gammas[i][j])
     return JointReport(
         eigenvalues=lams,

@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass
 from operator import itemgetter
 
-from .basis import Basis, BasisKind, as_int, as_ints, make_basis
+from .basis import Basis, BasisKind, as_int, as_ints, as_reals, make_basis
 
 EPS_GROUP = 1e-9
 CHAOS_TOL = 1e-8
@@ -84,7 +84,8 @@ class SpectralFn:
         keys = [as_ints(alpha) for alpha in self.coeffs]
         for alpha in keys:
             self.space.validate_index(alpha)
-        object.__setattr__(self, "coeffs", _clean_values(zip(keys, self.coeffs.values())))
+        values = as_reals(self.coeffs.values())  # no bools or strings
+        object.__setattr__(self, "coeffs", _clean_values(zip(keys, values)))
 
     def items_sorted(self) -> list[tuple[MultiIndex, float]]:
         return list(self.coeffs.items())

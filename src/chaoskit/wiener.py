@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import as_ints, hermite
+from .basis import as_ints, as_reals, hermite
 from .spectral import ProductSpace, SpectralFn, inner, multiply, product_space, project
 
 IndexTuple = tuple[int, ...]
@@ -82,7 +82,7 @@ class SymTensor:
         if self.order < 1:
             raise ValueError("order must be >= 1")
         clean: dict[IndexTuple, float] = {}
-        for key, value in self.entries.items():
+        for key, value in zip(self.entries, as_reals(self.entries.values())):
             key = as_ints(key)
             if len(key) != self.order:
                 raise ValueError(f"index tuple {key} has wrong length")
@@ -90,7 +90,6 @@ class SymTensor:
                 raise ValueError(f"index tuple {key} out of range for dim {self.dim}")
             if tuple(sorted(key)) != key:
                 raise ValueError(f"index tuple {key} is not sorted")
-            value = float(value)
             if value != 0.0:
                 clean[key] = value
         object.__setattr__(self, "entries", dict(sorted(clean.items())))  # by key: keys are unique

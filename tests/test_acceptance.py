@@ -139,8 +139,7 @@ def test_criterion_4_cf_gap_within_bound():
 def _joint_quantities(n: int):
     f1, f2 = ck.pair_mixed(2, 2, 0.5, n)
     rho_n = ck.inner(f1, f2)
-    cov = np.array([[ck.inner(f1, f1), rho_n], [rho_n, ck.inner(f2, f2)]])
-    rep = ck.joint_report((f1, f2), ck.GaussianTarget(cov))
+    rep = ck.joint_report((f1, f2))
     r_max = float(np.abs(rep.r_matrix).max())
     gap_max = float(np.abs(rep.mixed22 - rep.isserlis).max())
     return rho_n, rep, r_max, gap_max

@@ -378,6 +378,31 @@ def test_bound_check_builds_each_covariance_once(monkeypatch, tmp_path):
     assert len(made) == 6
 
 
+def test_joint_verify_builds_one_covariance_per_grid_point(monkeypatch, tmp_path):
+    """joint-verify builds one covariance per n: the exact target's, which the
+    report's cov matrix is, not a second copy built for the report."""
+    made, reports = [], []
+    plain_target = moments.GaussianTarget.__post_init__
+    plain_report = moments.joint_report
+
+    def counting(self):
+        made.append(self)
+        plain_target(self)
+
+    def recording(*args):
+        reports.append(plain_report(*args))
+        return reports[-1]
+
+    monkeypatch.setattr(moments.GaussianTarget, "__post_init__", counting)
+    monkeypatch.setattr(moments, "joint_report", recording)
+    cfg = load_config(Path(__file__).parent.parent / "configs" / "joint_pair.json",
+                      out_override=str(tmp_path))
+    assert made == []
+    assert run(cfg).passed
+    assert len(made) == len(reports) == len(cfg.n_grid) == 5
+    assert all(rep.cov is target.cov for rep, target in zip(reports, made))
+
+
 Q1 = {"type": "eigenfunction", "degree": 1}
 HERMITE_EXTRA = {"kind": "hermite", "params": [], "max_degree": 4}
 

@@ -102,8 +102,18 @@ def test_gaussian_target_refuses_non_finite_entries(bad):
     f = q(H1, 2, coeff=2 ** -0.5)
     with pytest.raises(ValueError, match="must be finite"):
         prop31_bound([f], [[bad]])
-    with pytest.raises(ValueError, match="must be finite"):
-        joint_report([f], np.array([[bad]]))
+
+
+@pytest.mark.parametrize("bad", ["1", True, None, "nan"])
+def test_gaussian_target_refuses_bools_and_strings(bad):
+    """Covariance entries must be numbers, checked on the array's dtype: a
+    string, bool or other non-number is refused, not converted."""
+    for cov in ([[bad]], [[bad, bad], [bad, bad]], np.array([[bad]])):
+        with pytest.raises(TypeError, match="must be real numbers"):
+            GaussianTarget(cov)
+    with pytest.raises(TypeError, match="must be real numbers"):
+        prop31_bound([q(H1, 2, coeff=2 ** -0.5)], [[bad]])
+    assert GaussianTarget([[1]]).cov.dtype == np.float64  # integers are numbers
 
 
 def test_a_coeff_examples():
@@ -228,26 +238,28 @@ def test_prop31_consistency_invariant():
 
 
 def test_remainder_examples():
-    eye = GaussianTarget(np.eye(2))
-    assert abs(remainder_r(q(H1, 1), q(H1, 1), GaussianTarget(np.eye(1)), 0, 0)) < 1e-12
-    assert abs(remainder_r(q(H2, 1, 0), q(H2, 0, 1), eye, 0, 1)) < 1e-12
+    assert abs(remainder_r(q(H1, 1), q(H1, 1))) < 1e-12
+    assert abs(remainder_r(q(H2, 1, 0), q(H2, 0, 1))) < 1e-12
     # distinct eigenvalues, empirical covariances: lambda_j = 2, a = 4/3,
     # mixed22 = 5/2, C_ii = 1, C_jj = 1/2, C_ij = 0 -> R = 2 (5/4 - 1/4) = 2
     f_i = q(H1, 1)
     f_j = q(H1, 2, coeff=2 ** -0.5)
-    got = remainder_r(f_i, f_j, eye, 0, 1)
+    got = remainder_r(f_i, f_j)
     assert abs(got - 2.0) < 1e-12
 
 
 def test_remainder_rejects_bad_inputs():
-    c = GaussianTarget(np.array([[1.0, 0.5], [0.5, 1.0]]))
+    # F_i is still an eigenfunction (lambda = 1, the level-2 mass is 1e-20),
+    # but its own covariance with the level-2 F_j is 1e-10, not zero.
+    f_i, f_j = q(H1, 1) + q(H1, 2, coeff=1e-10), q(H1, 2)
+    with pytest.raises(ValueError, match="must vanish across distinct eigenvalues"):
+        remainder_r(f_i, f_j)
+    with pytest.raises(ValueError, match="must vanish across distinct eigenvalues"):
+        joint_report((f_i, f_j))
     with pytest.raises(ValueError):
-        # nonzero target covariance across distinct eigenvalues
-        remainder_r(q(H1, 1), q(H1, 2), c, 0, 1)
+        remainder_r(H1.unit(), q(H1, 1))  # zero eigenvalue
     with pytest.raises(ValueError):
-        remainder_r(H1.unit(), q(H1, 1), c, 0, 1)  # zero eigenvalue
-    with pytest.raises(ValueError):
-        remainder_r(q(H1, 1) + q(H1, 2), q(H1, 1), c, 0, 1)  # not eigenfunction
+        remainder_r(q(H1, 1) + q(H1, 2), q(H1, 1))  # not eigenfunction
 
 
 def test_remainder_vanishes_when_mixed_moment_is_gaussian():
@@ -260,7 +272,7 @@ def test_remainder_vanishes_when_mixed_moment_is_gaussian():
             c = GaussianTarget(np.array([[inner(f1, f1), c12], [c12, inner(f2, f2)]]))
             m = mixed22(f1, f2)
             assert abs(m - gaussian_mixed(c, 0, 1)) < 1e-12
-            assert abs(remainder_r(f1, f2, c, 0, 1)) < 1e-12
+            assert abs(remainder_r(f1, f2)) < 1e-12
 
 
 # -- reports ------------------------------------------------------------------------
@@ -278,26 +290,11 @@ def test_fmt_report_examples():
 
 def test_joint_report_independent_pair():
     fs = (q(H2, 1, 0), q(H2, 0, 1))
-    rep = joint_report(fs, np.eye(2))
+    rep = joint_report(fs)
     assert rep.prop31 <= 1e-12
     assert np.abs(rep.r_matrix).max() <= 1e-12
     assert abs(rep.mixed22[0, 1] - 1.0) < 1e-12
     assert rep.eigenvalues == (1.0, 1.0)
-    rows = rep.csv_rows()
-    assert len(rows) == 4 and rows[1][:2] == [0, 1]
-
-
-def test_joint_report_dict_and_csv_schema():
-    from chaoskit.moments import CSV_COLUMNS
-
-    fs = (q(H2, 2, 0), q(H2, 0, 2))
-    rep = joint_report(fs, np.eye(2))
-    assert CSV_COLUMNS == (
-        "i", "j", "lambda_i", "lambda_j", "cov", "mixed22", "isserlis", "r_ij",
-        "var_gamma_ij",
-    )
-    for row in rep.csv_rows():
-        assert len(row) == len(CSV_COLUMNS)
 
 
 @pytest.mark.parametrize("kind", [hermite(), laguerre(0.5), jacobi(2.0, 3.0)],
@@ -308,14 +305,14 @@ def test_joint_report_matches_pair_api_bitwise(kind, p1, p2, rho):
     chaos verdict, still equals the per-pair function of the same inputs exactly."""
     fs = pair_mixed(p1, p2, rho, 3, kind=kind)
     c = GaussianTarget(np.array([[inner(f, g) for g in fs] for f in fs]))
-    rep = joint_report(fs, c)
+    rep = joint_report(fs)
     for i, fi in enumerate(fs):
         rep_i = fmt_report(fi)
         assert (rep.cov[i, i], rep.mixed22[i, i]) == (rep_i.m2, rep_i.m4)
         for j, fj in enumerate(fs):
             assert rep.cov[i, j] == inner(fi, fj)
             assert rep.mixed22[i, j] == mixed22(fi, fj)
-            assert rep.r_matrix[i, j] == remainder_r(fi, fj, c, i, j)
+            assert rep.r_matrix[i, j] == remainder_r(fi, fj)
             assert rep.var_gamma_m[i, j] == var_gamma(fi, -apply_Linv(fj))
     assert rep.prop31 == prop31_bound(fs, c)
     assert rep.chaotic_vector == is_chaotic_vector(fs).ok
@@ -380,8 +377,7 @@ def test_remainder_bound_chain():
         c_ij = inner(fi, fj)
         dev = gamma(fi, -apply_Linv(fj)).shift_mean(-c_ij)
         lhs = inner(dev, dev)
-        cov = np.array([[inner(fi, fi), c_ij], [c_ij, inner(fj, fj)]])
-        r = remainder_r(fi, fj, GaussianTarget(cov), 0, 1)
+        r = remainder_r(fi, fj)
         a_ij = a_coeff(float(li), float(lj))
         rhs = (
             0.5 * math.sqrt(moment4(fi)) * math.sqrt(var_gamma(fj, fj)) + r

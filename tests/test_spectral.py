@@ -10,7 +10,6 @@ import numpy as np
 import pytest
 
 from chaoskit import (
-    GaussianTarget,
     ProductSpace,
     SampleBatch,
     SpectralFn,
@@ -503,7 +502,7 @@ def test_chaotic_vector_examples():
             assert chk == (is_chaotic(fs[i]) if i == j else is_jointly_chaotic(fs[i], fs[j]))
             assert bool(chk.offenders) is not chaotic  # Jacobi: lambda_4 > 2 lambda_2
         assert verdict.ok is chaotic
-        rep = joint_report(fs, GaussianTarget([[inner(f, g) for g in fs] for f in fs]))
+        rep = joint_report(fs)
         assert rep.chaotic_vector is verdict.ok
 
 
@@ -530,3 +529,19 @@ def test_json_schema_shape():
     assert set(obj) == {"space", "coeffs"}
     assert obj["space"][0] == {"kind": "hermite", "params": [], "max_degree": 6}
     assert obj["coeffs"] == [[[0, 2], -2.5], [[1, 0], 0.1]]
+
+
+@pytest.mark.parametrize("bad", ["2.5", "7", True, False, None])
+def test_bool_and_string_coefficients_are_refused(bad):
+    """A coefficient is read by `as_real`: a bool or a string is refused, also
+    in a JSON file, instead of being converted by float(); an int is a number."""
+    with pytest.raises(TypeError):
+        SpectralFn(H1, {(1,): bad})
+    with pytest.raises(TypeError):
+        SpectralFn(H1, {(1,): 1.0, (2,): bad})  # one bad value among floats
+    obj = json.loads(q(H1, 1).to_json())
+    obj["coeffs"][0][1] = bad
+    with pytest.raises(TypeError):
+        SpectralFn.from_json(json.dumps(obj))
+    f = SpectralFn(H1, {(1,): 2, (2,): 0.5})
+    assert f.coeffs == {(1,): 2.0, (2,): 0.5} and type(f.coeffs[(1,)]) is float

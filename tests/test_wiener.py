@@ -84,6 +84,18 @@ def test_symmetrize_validation():
         SymTensor(2, 2, {(1, 0): 1.0})  # unsorted tuple
 
 
+@pytest.mark.parametrize("bad", ["3", True, None])
+def test_sym_tensor_refuses_bool_and_string_entries(bad):
+    """An entry is read by `as_real`: a bool or a string is refused instead of
+    being converted by float(); an int is a number."""
+    with pytest.raises(TypeError):
+        SymTensor(2, 1, {(0,): bad})
+    with pytest.raises(TypeError):
+        SymTensor(2, 1, {(0,): 1.0, (1,): bad})
+    t = SymTensor(2, 1, {(0,): 3, (1,): 0.5})
+    assert t.entries == {(0,): 3.0, (1,): 0.5} and type(t.entries[(0,)]) is float
+
+
 def test_norm_accounts_for_multiplicities():
     t = symmetrize({(0, 1): 1.0}, dim=2, order=2)  # (e0 x e1 + e1 x e0)/2
     assert abs(t.norm2() - 0.5) < 1e-15
