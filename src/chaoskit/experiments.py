@@ -15,6 +15,7 @@ import itertools
 import json
 import math
 import os
+import random
 from dataclasses import MISSING, dataclass, field, fields
 from functools import partial
 from pathlib import Path
@@ -428,18 +429,18 @@ def _run_bound_check(cfg: ExperimentConfig):
     return columns, rows, summary, failures
 
 
-def random_span_function(space, rng: np.random.Generator,
-                         max_terms: int = 6) -> SpectralFn:
+def random_span_function(space, rng: random.Random, max_terms: int = 6) -> SpectralFn:
     """Random sparse function over the space's multi-indices: thm33-check's
-    instance generator, drawing up to max_terms terms with coefficients
-    uniform in [-1, 1]."""
-    n_terms = int(rng.integers(1, max_terms + 1))
+    instance generator.  It draws a term count uniform in 1..max_terms, then
+    per term a degree uniform in 0..max_degree for each coordinate in order
+    and a coefficient uniform in [-1, 1]; a repeated multi-index keeps its
+    last coefficient.  The draws are scalar, so they come from the standard
+    library's `random.Random`, several times cheaper per call than a numpy
+    Generator."""
     coeffs = {}
-    for _ in range(n_terms):
-        alpha = tuple(
-            int(rng.integers(0, b.max_degree + 1)) for b in space.coords
-        )
-        coeffs[alpha] = float(rng.uniform(-1.0, 1.0))
+    for _ in range(rng.randint(1, max_terms)):
+        alpha = tuple(rng.randrange(b.max_degree + 1) for b in space.coords)
+        coeffs[alpha] = rng.uniform(-1.0, 1.0)
     return SpectralFn(space, coeffs)
 
 
@@ -448,16 +449,16 @@ def _run_thm33_check(cfg: ExperimentConfig):
         "instance", "family", "dim", "support", "lambda_max", "eta",
         "lhs", "rhs", "margin", "violation",
     ]
-    rng = np.random.default_rng(cfg.seed)
+    rng = random.Random(cfg.seed)
     rows: list[list] = []
     failures: list[str] = []
     for i in range(cfg.count):
         kind = cfg.families[i % len(cfg.families)]
-        d = int(rng.integers(1, cfg.max_coords + 1))
+        d = rng.randint(1, cfg.max_coords)
         space = product_space(kind, cfg.max_degree, d)
         f = random_span_function(space, rng)
         lam_max = max(space.eigenvalue(a) for a in f.support())
-        eta = lam_max if i % 5 == 0 else lam_max * (1.0 + float(rng.uniform(0, 1)))
+        eta = lam_max if i % 5 == 0 else lam_max * (1.0 + rng.random())
         lhs, rhs = moments.thm33_sides(f, eta)
         scale = max(1.0, abs(lhs), abs(rhs))
         bad = lhs > rhs + THM33_TOL * scale
@@ -474,22 +475,25 @@ def _run_thm33_check(cfg: ExperimentConfig):
     return columns, rows, summary, failures
 
 
-def random_sym_tensor(dim: int, order: int, rng: np.random.Generator) -> wiener.SymTensor:
-    """Dense random symmetric tensor with entries uniform in [-1, 1]."""
+def random_sym_tensor(dim: int, order: int, rng: random.Random) -> wiener.SymTensor:
+    """Dense random symmetric tensor: product-formula-check's instance
+    generator.  Each entry, over the sorted index tuples in ascending order,
+    is one `rng.uniform(-1.0, 1.0)` draw; that is the only call, so a numpy
+    Generator serves as rng too."""
     entries = {}
     for key in itertools.combinations_with_replacement(range(dim), order):
-        entries[key] = float(rng.uniform(-1.0, 1.0))
+        entries[key] = rng.uniform(-1.0, 1.0)
     return wiener.SymTensor(dim, order, entries)
 
 
 def _run_product_formula_check(cfg: ExperimentConfig):
     columns = ["instance", "p", "m", "lhs", "rhs", "abs_err", "allowed", "pass"]
-    rng = np.random.default_rng(cfg.seed)
+    rng = random.Random(cfg.seed)
     rows: list[list] = []
     failures: list[str] = []
     for i in range(cfg.count):
-        p = int(rng.integers(1, cfg.p_max + 1))
-        m = int(rng.integers(1, cfg.m_max + 1))
+        p = rng.randint(1, cfg.p_max)
+        m = rng.randint(1, cfg.m_max)
         f = random_sym_tensor(m, p, rng)
         g = random_sym_tensor(m, p, rng)
         lhs, rhs = wiener.product_formula_check(f, g)

@@ -38,6 +38,16 @@ from .spectral import (
     multiply,
 )
 
+
+def _entries(obj):
+    """The scalars of a nested list or tuple, in order (obj itself if it is none)."""
+    if isinstance(obj, (list, tuple)):
+        for item in obj:
+            yield from _entries(item)
+    else:
+        yield obj
+
+
 @dataclass(frozen=True, eq=False)
 class GaussianTarget:
     """Covariance matrix of the centered Gaussian comparison vector."""
@@ -45,6 +55,10 @@ class GaussianTarget:
     cov: np.ndarray
 
     def __post_init__(self) -> None:
+        if not isinstance(self.cov, np.ndarray):  # numpy would promote a bool among numbers
+            for v in _entries(self.cov):
+                if isinstance(v, (bool, str)):
+                    raise TypeError(f"covariance entries must be real numbers, got {v!r}")
         c = np.array(self.cov)  # a copy, frozen below
         if c.dtype.kind not in "fiu":  # a bool, string or object array: not read as numbers
             raise TypeError(f"covariance entries must be real numbers, got {c.dtype}")

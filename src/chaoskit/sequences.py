@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass
 
 from .basis import BasisKind, as_int, as_real, hermite
-from .spectral import SpectralFn, product_space
+from .spectral import SpectralFn, _result, product_space
 
 
 def _check_spread(p: int, n: int = 1) -> None:
@@ -105,7 +105,7 @@ def spread(kind: BasisKind, p: int, n: int) -> SpectralFn:
     _check_spread(p, n)
     space = product_space(kind, 2 * p, n)
     w = 1.0 / math.sqrt(n)
-    return SpectralFn(space, _unit_terms(n, range(n), p, w))
+    return _result(space, _unit_terms(n, range(n), p, w))  # keys made in range
 
 
 def pair_mixed(p1: int, p2: int, rho: float, n: int,
@@ -126,4 +126,4 @@ def pair_mixed(p1: int, p2: int, rho: float, n: int,
     sign = -1.0 if rho < 0 else 1.0
     first = _unit_terms(d, range(n), p1, w)
     second = _unit_terms(d, range(s), p2, sign * w) | _unit_terms(d, range(n, d), p2, w)
-    return SpectralFn(space, first), SpectralFn(space, second)
+    return _result(space, first), _result(space, second)  # keys made in range

@@ -38,7 +38,11 @@ class ProductSpace:
     def __post_init__(self) -> None:
         if not self.coords:
             raise ValueError("a product space needs at least one coordinate")
-        object.__setattr__(self, "coords", tuple(self.coords))
+        coords = tuple(self.coords)
+        object.__setattr__(self, "coords", coords)
+        # the eigenvalue table of a basis that every coordinate shares, else None
+        shared = all(b is coords[0] for b in coords)
+        object.__setattr__(self, "_lams", coords[0].eigenvalue_list if shared else None)
 
     @property
     def dim(self) -> int:
@@ -54,7 +58,11 @@ class ProductSpace:
                 )
 
     def eigenvalue(self, alpha: MultiIndex) -> float:
-        # lambda_0 = 0.0 adds nothing, so zero degrees are skipped
+        # lambda_0 = 0.0 adds nothing, so zero degrees are skipped; one shared
+        # table gives the same terms in the same order without the zip
+        lams = self._lams
+        if lams is not None:
+            return sum([lams[d] for d in alpha if d], 0.0)
         return sum([b.eigenvalue_list[d] for d, b in zip(alpha, self.coords) if d], 0.0)
 
     def zero_index(self) -> MultiIndex:
@@ -234,6 +242,11 @@ def _pair_expand(f: SpectralFn, g: SpectralFn, carre: bool) -> SpectralFn:
                     _, lin, gam = space.coords[i].terms(da, db)
                     lins.append((i, lin))
                     gams.append((i, gam))
+            if not lins:  # no coordinate nonzero in both: one term, and none in Gamma
+                if not carre:
+                    t = tuple(key)
+                    acc[t] = acc.get(t, 0.0) + fa * gb
+                continue
             if not carre:
                 _accumulate(acc, key, fa * gb, lins)
                 continue
@@ -281,10 +294,20 @@ def spectrum(f: SpectralFn) -> list[tuple[float, list[MultiIndex]]]:
     """The support of F grouped by eigenvalue, ascending, as (eigenvalue,
     members) pairs: a level holds each multi-index whose eigenvalue is within
     relative tolerance EPS_GROUP of its first (smallest), which names it."""
+    return _levels(_keyed(f))
+
+
+def _keyed(f: SpectralFn) -> list[tuple[float, MultiIndex]]:
+    """(eigenvalue, multi-index) for each term of F, keys ascending."""
+    eigenvalue = f.space.eigenvalue
+    return [(eigenvalue(a), a) for a in f.coeffs]
+
+
+def _levels(keyed: list[tuple[float, MultiIndex]]) -> list[tuple[float, list[MultiIndex]]]:
+    """`spectrum` of the function whose terms `_keyed` lists."""
     levels: list[tuple[float, list[MultiIndex]]] = []
     # a stable sort by eigenvalue of the ascending support: members ascend too
-    for lam, alpha in sorted(((f.space.eigenvalue(a), a) for a in f.support()),
-                             key=itemgetter(0)):
+    for lam, alpha in sorted(keyed, key=itemgetter(0)):
         if levels and lam - anchor <= EPS_GROUP * (1.0 + abs(anchor)):
             members.append(alpha)
         else:
@@ -318,7 +341,12 @@ def eigenfunction_eigenvalue(f: SpectralFn) -> float:
     if f.is_zero():
         raise ValueError("the zero function is not an eigenfunction")
     nrm = f.norm()
-    significant = [lam for lam, members in spectrum(f)
+    keyed = _keyed(f)
+    low = min(lam for lam, _ in keyed)
+    if 0.0 < nrm < math.inf and max(lam for lam, _ in keyed) - low <= EPS_GROUP * (1.0 + abs(low)):
+        # one level, anchored at the smallest eigenvalue, holds all the mass
+        return low
+    significant = [lam for lam, members in _levels(keyed)
                    if _l2_norm(f.coeffs[a] for a in members) > CHAOS_TOL * nrm]
     if len(significant) != 1:
         raise ValueError(f"not an eigenfunction: spectral mass on eigenvalues {significant}")
@@ -349,10 +377,13 @@ def _membership(prod: SpectralFn, limit: float, eigenvalue: float) -> ChaosCheck
         raise ValueError(f"product norm is not finite ({nrm}); chaos masses are undefined")
     if nrm == 0.0:
         return ChaosCheck(True, eigenvalue, limit, ())
+    slack = EPS_GROUP * (1.0 + abs(limit))
+    keyed = _keyed(prod)
+    if max(lam for lam, _ in keyed) - limit <= slack:  # no level lies above the limit
+        return ChaosCheck(True, eigenvalue, limit, ())
     offenders = []
     ok = True
-    slack = EPS_GROUP * (1.0 + abs(limit))
-    for lam, members in spectrum(prod):
+    for lam, members in _levels(keyed):
         if lam - limit <= slack:
             continue
         mass = _l2_norm(prod.coeffs[a] for a in members) / nrm

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import as_ints, as_reals, hermite
+from .basis import as_ints, as_real, as_reals, hermite
 from .spectral import ProductSpace, SpectralFn, inner, multiply, product_space, project
 
 IndexTuple = tuple[int, ...]
@@ -135,7 +135,7 @@ def symmetrize(raw, dim: int | None = None, order: int | None = None) -> SymTens
             raise ValueError("dict input needs explicit dim and order")
         dense = np.zeros((dim,) * order)
         for key, v in raw.items():
-            dense[tuple(key)] = v
+            dense[tuple(key)] = as_real(v)  # the array would convert "3" and True
         raw = dense
     arr = np.asarray(raw, dtype=float)
     if arr.ndim < 1:

@@ -5,10 +5,12 @@ quadrature machinery: exact measure moments, Gram-Schmidt orthonormalization
 over those moments, symbolic application of the pinned generators, closed and
 50-digit forms of product linearization, and brute-force tensor algebra.
 Results are exact (sympy), high precision (mpmath) or plain loops, so they can
-serve as oracles for the fast implementations.  Two exceptions are kept
-references built on the library: `gamma_by_products`, the carre du champ from
-three full products, and `pair_expand`, the recursive pair expansion that
-`multiply` and `gamma` must reproduce bit for bit.
+serve as oracles for the fast implementations.  Some kept references are
+built on the library: `gamma_by_products`, the carre du champ from three full
+products; `pair_expand`, the recursive pair expansion that `multiply` and
+`gamma` must reproduce bit for bit; and `membership` and
+`eigenfunction_eigenvalue`, which decide chaos membership and eigenvalues by
+grouping the whole spectrum, without the library's one-level shortcuts.
 """
 
 from __future__ import annotations
@@ -20,7 +22,8 @@ import mpmath as mp
 import numpy as np
 import sympy as sp
 
-from chaoskit import SpectralFn, apply_L, multiply
+from chaoskit import ChaosCheck, SpectralFn, apply_L, multiply, spectrum
+from chaoskit.spectral import CHAOS_TOL, EPS_GROUP, _l2_norm
 
 X = sp.Symbol("x")
 
@@ -212,6 +215,35 @@ def _accumulate(acc: dict, idx: tuple, value, expand: list, depth: int) -> None:
             continue
         lst[coord] = k
         _accumulate(acc, tuple(lst), value * ck, expand, depth + 1)
+
+
+def membership(prod, limit: float, eigenvalue: float):
+    """Reference `spectral._membership`: the relative mass of every level of
+    `spectrum(prod)` whose eigenvalue lies more than EPS_GROUP (1 + |limit|)
+    above limit; a norm of 0 passes, a norm that overflows raises."""
+    nrm = prod.norm()
+    if not math.isfinite(nrm):
+        raise ValueError(f"product norm is not finite ({nrm}); chaos masses are undefined")
+    if nrm == 0.0:
+        return ChaosCheck(True, eigenvalue, limit, ())
+    offenders = tuple(
+        (lam, _l2_norm(prod.coeffs[a] for a in members) / nrm)
+        for lam, members in spectrum(prod) if lam - limit > EPS_GROUP * (1.0 + abs(limit)))
+    return ChaosCheck(all(mass <= CHAOS_TOL for _, mass in offenders), eigenvalue, limit,
+                      offenders)
+
+
+def eigenfunction_eigenvalue(f) -> float:
+    """Reference `spectral.eigenfunction_eigenvalue`: the one level of
+    `spectrum(f)` holding relative mass above CHAOS_TOL."""
+    if f.is_zero():
+        raise ValueError("the zero function is not an eigenfunction")
+    nrm = f.norm()
+    significant = [lam for lam, members in spectrum(f)
+                   if _l2_norm(f.coeffs[a] for a in members) > CHAOS_TOL * nrm]
+    if len(significant) != 1:
+        raise ValueError(f"not an eigenfunction: spectral mass on eigenvalues {significant}")
+    return significant[0]
 
 
 def gaussian_moment(k: int) -> int:

@@ -115,18 +115,47 @@ def test_seed_and_out_overrides(tmp_path):
 
 
 def test_csv_byte_identical_across_runs(tmp_path):
-    cfg = write_config(tmp_path, {
-        "experiment": "thm33-check",
-        "count": 60,
-        "seed": 5,
-        "max_coords": 2,
-        "max_degree": 5,
-    })
-    assert main(["thm33-check", "--config", cfg, "--out", str(tmp_path / "a")]) == 0
-    assert main(["thm33-check", "--config", cfg, "--out", str(tmp_path / "b")]) == 0
-    a = (tmp_path / "a" / "report.csv").read_bytes()
-    b = (tmp_path / "b" / "report.csv").read_bytes()
-    assert a == b
+    """Both experiments that draw random instances give the same report.csv
+    bytes when rerun with one seed."""
+    for obj in ({"experiment": "thm33-check", "count": 60, "seed": 5, "max_coords": 2,
+                 "max_degree": 5},
+                {"experiment": "product-formula-check", "count": 12, "seed": 5, "p_max": 3,
+                 "m_max": 3}):
+        name = obj["experiment"]
+        cfg = write_config(tmp_path, obj)
+        assert main([name, "--config", cfg, "--out", str(tmp_path / name / "a")]) == 0
+        assert main([name, "--config", cfg, "--out", str(tmp_path / name / "b")]) == 0
+        a = (tmp_path / name / "a" / "report.csv").read_bytes()
+        b = (tmp_path / name / "b" / "report.csv").read_bytes()
+        assert a == b
+
+
+def test_only_bound_check_loads_numpy_random(tmp_path):
+    """Only bound-check samples (numpy's Philox streams); thm33-check and
+    product-formula-check draw their instances from random.Random, so a fresh
+    interpreter that runs every other experiment never imports numpy.random."""
+    script = ("import json, sys\n"
+              "from chaoskit.experiments import parse_config, run\n"
+              "for obj in json.loads(sys.argv[1]):\n"
+              "    assert run(parse_config(obj)).passed\n"
+              "print('numpy.random' in sys.modules)\n")
+    sampling_free = [
+        {"experiment": "thm33-check", "count": 20, "seed": 3},
+        {"experiment": "product-formula-check", "count": 4, "p_max": 2, "m_max": 2, "seed": 3},
+        {"experiment": "chaos-check", "sequence": SPREAD, "n_grid": [1, 2]},
+        {"experiment": "fmt-verify", "sequence": SPREAD, "n_grid": [1, 2]},
+        {"experiment": "joint-verify", "n_grid": [2, 4], "sequence": {
+            "family": "pair_mixed", "p1": 2, "p2": 2, "rho": 0.5}},
+    ]
+    bound = [{"experiment": "bound-check", "n_samples": 500, "t_axis": [0.5], "seed": 3,
+              "vectors": [{"type": "eigenfunction", "degree": 2, "scale": 2 ** -0.5}]}]
+    for configs, loaded in ((sampling_free, "False"), (bound, "True")):
+        for k, obj in enumerate(configs):
+            obj["out"] = str(tmp_path / f"{obj['experiment']}-{k}")
+        proc = subprocess.run([sys.executable, "-c", script, json.dumps(configs)],
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == [loaded]
 
 
 def test_results_independent_of_thread_count(tmp_path, monkeypatch):
@@ -228,7 +257,7 @@ def test_product_formula_order_limit(tmp_path, capsys):
     admit) exit 2 before any report is written.  At p_max = 1 it has none,
     but squaring I_1(f) takes m_max^3 steps, so m_max 102 exits 2 too."""
     cfg = write_config(tmp_path, {
-        "experiment": "product-formula-check", "count": 4, "seed": 7,
+        "experiment": "product-formula-check", "count": 4, "seed": 2,
         "p_max": 17, "m_max": 1, "out": str(tmp_path / "ok"),
     })
     assert main(["product-formula-check", "--config", cfg]) == 0

@@ -28,13 +28,13 @@ CSV_SHA256 = {
     "chaos_hermite2": "81173561ecffd45f97766c1f7c836a514bff14a55cd7e737ea8f19f434bdfa88",
     "fmt_hermite2": "e002d46a6f4e63bc2caa6c924d70bb8cebf1bf444be344ddb21b12862bcbce0b",
     "joint_pair": "d583b3fe9347ae3dd4ee6ae19ac2ef2a60da6cc6751c1a588fb7cf201f7defed",
-    "thm33": "b35f5d70e2b171a9f79841825d32bb91a51cd0c85666d91724ec596c1a933d5b",
+    "thm33": "42ce63593d45444b00fc325546337263994dd9284466d771a461e2e187d04452",
 }
 JSON_SHA256 = {
     "chaos_hermite2": "fb7f85e58669076496d8c8ff5813f5f68ab588afbb71ce24ad5deadf8e9bc8aa",
     "fmt_hermite2": "2b5866c19484e46052c731a21b3dee1e009493b7296f7961f8ffb97081996237",
     "joint_pair": "c9f33df48efc4b07e781ffdf3861317471a02329d1a7c62a4a5f635970fb07b1",
-    "thm33": "a303c716b3a78756b7368a03711b22582c93d9059ea04a163870c8a9c7218333",
+    "thm33": "d34475f3a37563b2dafd54598a7b78271c5fdc8085a9269424e511f5c3425e7f",
 }
 
 

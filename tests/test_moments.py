@@ -116,6 +116,16 @@ def test_gaussian_target_refuses_bools_and_strings(bad):
     assert GaussianTarget([[1]]).cov.dtype == np.float64  # integers are numbers
 
 
+def test_gaussian_target_refuses_a_bool_among_numbers():
+    """numpy would promote a nested list holding True and floats to a float
+    array, so entries of a list are refused one by one, by the rule of
+    `as_real`; an array keeps its dtype check."""
+    for cov in ([[True, 0.0], [0.0, 1.0]], [[1.0, "0"], ["0", 1.0]], ([1.0, 0.0], (0.0, False))):
+        with pytest.raises(TypeError, match="must be real numbers"):
+            GaussianTarget(cov)
+    assert GaussianTarget([[1, 0.5], (0.5, 2.0)]).cov.tolist() == [[1.0, 0.5], [0.5, 2.0]]
+
+
 def test_a_coeff_examples():
     assert a_coeff(2.0, 2.0) == 1.0
     assert abs(a_coeff(2.0, 4.0) - 4.0 / 3.0) < 1e-15

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import json
 import math
+import random
 import subprocess
 import sys
 import tracemalloc
@@ -201,7 +202,7 @@ def _evaluate_full_tables(f, batch):
     experiments.random_span_function(
         ProductSpace((make_basis(hermite(), 5), make_basis(laguerre(0.5), 3),
                       make_basis(jacobi(2.0, 3.0), 4))),
-        np.random.default_rng(2), max_terms=8),
+        random.Random(2), max_terms=8),
 ], ids=["hermite", "laguerre", "jacobi", "mixed-span"])
 def test_evaluate_matches_full_table_reference(f, monkeypatch):
     batch = sample(f.space, 3000, seed=6)

@@ -7,8 +7,10 @@ draws elements of the p-th Hermite chaos, where the fourth-moment bound on
 Var Gamma is checked.  Mixed spaces draw each coordinate's family on its own.
 `multiply` and `gamma` are also compared bit for bit with the recursive pair
 expansion kept in `oracles`, and expansions and kernels built from reordered
-dicts are checked to hold their terms with keys ascending.  The runs are
-derandomized and keep no example database, so they repeat exactly.
+dicts are checked to hold their terms with keys ascending.  The chaos
+checks and `eigenfunction_eigenvalue` are held to the spectrum-grouping
+references in `oracles`, also where a norm underflows or overflows.  The
+runs are derandomized and keep no example database, so they repeat exactly.
 """
 
 from __future__ import annotations
@@ -21,7 +23,8 @@ from hypothesis import strategies as st
 
 from chaoskit import ProductSpace, SpectralFn, SymTensor, apply_L, apply_Linv, gamma, hermite
 from chaoskit import inner, jacobi, laguerre, make_basis, moment4, multiple_integral, multiply
-from chaoskit import product_space, project, var_gamma
+from chaoskit import eigenfunction_eigenvalue, product_space, project, var_gamma
+from chaoskit.spectral import EPS_GROUP, _membership
 
 import oracles
 
@@ -183,6 +186,61 @@ def test_fractional_bool_and_string_degrees_are_refused(fs, data):
         SpectralFn.from_dict(obj)
     floats = SpectralFn(f.space, {tuple(map(float, a)): v for a, v in f.coeffs.items()})
     assert _bits(floats) == _bits(f) and all(type(d) is int for a in floats.coeffs for d in a)
+
+
+@st.composite
+def leveled(draw):
+    """(F, F^2 or None) on a random space of one to three coordinates, one
+    family or mixed.  F holds a drawn multi-index and its coordinate
+    permutations (one level where the coordinates share a basis) or random
+    multi-indices (several levels), perhaps plus a term of relative size
+    1e-4..1e-12 anywhere, all scaled by a power of ten from underflow of the
+    norm (1e-170) to its overflow (1.7e308).  F^2 is built only unscaled,
+    where a Jacobi square has mass above twice the level."""
+    if draw(st.booleans()):
+        space = product_space(draw(kinds), MAX_DEGREE, draw(st.integers(1, 3)))
+    else:
+        coords = draw(st.lists(kinds, min_size=2, max_size=3))
+        space = ProductSpace(tuple(make_basis(kind, MAX_DEGREE) for kind in coords))
+    index = st.tuples(*[st.integers(0, TERM_DEGREE)] * space.dim)
+    if draw(st.booleans()):
+        keys = sorted(set(itertools.permutations(draw(index))))
+    else:
+        keys = sorted(draw(st.sets(index, min_size=1, max_size=4)))
+    coeffs = {alpha: draw(st.floats(-1.0, 1.0).filter(lambda v: abs(v) > 1e-3)) for alpha in keys}
+    if draw(st.booleans()):
+        coeffs[draw(index)] = draw(st.sampled_from([1e-4, -1e-8, 1e-9, 1e-12]))
+    scale = draw(st.sampled_from([1.0, 1.0, 1e-170, 1e150, 1.7e308]))
+    f = SpectralFn(space, {alpha: scale * v for alpha, v in coeffs.items()})
+    return f, multiply(f, f) if scale == 1.0 else None
+
+
+def _outcome(fn, *args):
+    """fn(*args), or the type and text of the ValueError it raises."""
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return ValueError, str(exc)
+
+
+@settings(PROPERTY_SETTINGS, max_examples=300)
+@given(leveled(), st.data())
+def test_chaos_checks_match_spectrum_reference(fsq, data):
+    """eigenfunction_eigenvalue and _membership give the ChaosCheck,
+    eigenvalue or error of the references in `oracles`, which group the whole
+    spectrum: at twice F's smallest eigenvalue on F^2 (chaos-check's limit),
+    and on F at, and within a few slacks of, each of its own eigenvalues."""
+    f, sq = fsq
+    assert _outcome(eigenfunction_eigenvalue, f) == _outcome(oracles.eigenfunction_eigenvalue, f)
+    lams = sorted({f.space.eigenvalue(alpha) for alpha in f.coeffs})
+    lam = lams[0]
+    level = data.draw(st.sampled_from(lams))
+    # a level lies above the limit when more than EPS_GROUP (1 + |limit|) above it
+    limit = level - data.draw(st.sampled_from([-1.0, 0.0, 0.5, 1.5, 1e3])) * EPS_GROUP * (1 + level)
+    cases = [(f, limit)] + ([(sq, 2.0 * lam)] if sq is not None else [])
+    for prod, limit in cases:
+        assert (_outcome(_membership, prod, limit, lam)
+                == _outcome(oracles.membership, prod, limit, lam))
 
 
 @st.composite

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import json
 import math
+import random
 
 import numpy as np
 import pytest
@@ -172,7 +173,7 @@ def test_gamma_examples():
 def test_gamma_matches_three_product_reference(kind):
     """Tensorized Gamma equals (L(FG) - F LG - G LF) / 2; jacobi(0.7, 1.9) has
     non-integer eigenvalues p (p + 1.6)."""
-    rng = np.random.default_rng(11)
+    rng = random.Random(11)
     small, space = product_space(kind, 5, 3), product_space(kind, 10, 3)
     for _ in range(30):
         f, g = (SpectralFn(space, random_span_function(small, rng).coeffs) for _ in range(2))

@@ -48,6 +48,17 @@ def test_symmetrize_examples():
     assert symmetrize(raw).entries == {(0, 1): 2.0}
 
 
+@pytest.mark.parametrize("bad", ["3", True])
+def test_symmetrize_dict_refuses_bools_and_strings(bad):
+    """A dict value is read by `as_real` before it enters the dense array,
+    which would convert "3" to 3.0 and True to 1.0."""
+    with pytest.raises(TypeError, match="expected a number"):
+        symmetrize({(0,): bad}, dim=1, order=1)
+    with pytest.raises(TypeError, match="expected a number"):
+        symmetrize({(0, 1): 0.5, (1, 0): bad}, dim=2, order=2)
+    assert symmetrize({(0,): 3}, dim=1, order=1).entries == {(0,): 3.0}
+
+
 def test_symmetrize_matches_brute_force():
     rng = np.random.default_rng(20)
     for p in (2, 3, 4):
