@@ -44,16 +44,21 @@ LIN_CACHE_SIZE = 1024
 _FAMILIES = ("hermite", "laguerre", "jacobi")
 
 
+# What converts to a number but is not read as one: Python and numpy bools,
+# and strings.
+NOT_NUMBERS = (bool, np.bool_, str)
+
+
 def as_real(value) -> float:
     """float(value), refusing a bool or a string: the rule of real config numbers."""
-    if isinstance(value, (bool, str)):
+    if isinstance(value, NOT_NUMBERS):
         raise TypeError(f"expected a number, got {value!r}")
     return float(value)
 
 
 def as_int(value) -> int:
     """int(value), refusing a bool, a string or a fraction (1e5 is 100000)."""
-    if isinstance(value, (bool, str)) or int(value) != value:
+    if isinstance(value, NOT_NUMBERS) or int(value) != value:
         raise TypeError(f"expected an integer, got {value!r}")
     return int(value)
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import EPS_ORTH
+from .basis import EPS_ORTH, NOT_NUMBERS
 from .spectral import (
     EPS_GROUP,
     SpectralFn,
@@ -57,7 +57,7 @@ class GaussianTarget:
     def __post_init__(self) -> None:
         if not isinstance(self.cov, np.ndarray):  # numpy would promote a bool among numbers
             for v in _entries(self.cov):
-                if isinstance(v, (bool, str)):
+                if isinstance(v, NOT_NUMBERS):
                     raise TypeError(f"covariance entries must be real numbers, got {v!r}")
         c = np.array(self.cov)  # a copy, frozen below
         if c.dtype.kind not in "fiu":  # a bool, string or object array: not read as numbers

@@ -120,6 +120,26 @@ def test_parameter_validation():
         make_basis(hermite(), 513)
 
 
+@pytest.mark.parametrize("bad", [np.True_, np.False_], ids=["True", "False"])
+def test_numpy_bools_are_not_numbers(bad):
+    """`as_real` and `as_int` refuse a numpy bool as they refuse a Python
+    one, so no reader of numbers converts it to 1 or 0; numpy floats and
+    integers are still numbers."""
+    for read in (basis_mod.as_real, basis_mod.as_int):
+        with pytest.raises(TypeError, match="expected a"):
+            read(bad)
+    with pytest.raises(TypeError, match="expected an integer"):
+        basis_mod.as_ints((1, bad))
+    with pytest.raises(TypeError, match="expected a number"):
+        basis_mod.as_reals((1.0, bad))
+    space = product_space(hermite(), 4, 1)
+    with pytest.raises(TypeError, match="expected a number"):
+        SpectralFn(space, {(1,): bad})
+    with pytest.raises(TypeError, match="expected an integer"):
+        SpectralFn(space, {(bad,): 1.0})
+    assert basis_mod.as_real(np.float32(0.5)) == 0.5 and basis_mod.as_int(np.int64(3)) == 3
+
+
 # -- one verified basis per (kind, max_degree) ---------------------------------
 
 

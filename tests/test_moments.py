@@ -117,10 +117,11 @@ def test_gaussian_target_refuses_bools_and_strings(bad):
 
 
 def test_gaussian_target_refuses_a_bool_among_numbers():
-    """numpy would promote a nested list holding True and floats to a float
-    array, so entries of a list are refused one by one, by the rule of
-    `as_real`; an array keeps its dtype check."""
-    for cov in ([[True, 0.0], [0.0, 1.0]], [[1.0, "0"], ["0", 1.0]], ([1.0, 0.0], (0.0, False))):
+    """numpy would promote a nested list holding True (a Python or a numpy
+    bool) and floats to a float array, so entries of a list are refused one
+    by one, by the rule of `as_real`; an array keeps its dtype check."""
+    for cov in ([[True, 0.0], [0.0, 1.0]], [[1.0, "0"], ["0", 1.0]], ([1.0, 0.0], (0.0, False)),
+                [[np.True_, 0.0], [0.0, 1.0]]):
         with pytest.raises(TypeError, match="must be real numbers"):
             GaussianTarget(cov)
     assert GaussianTarget([[1, 0.5], (0.5, 2.0)]).cov.tolist() == [[1.0, 0.5], [0.5, 2.0]]

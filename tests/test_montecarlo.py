@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import random
 import subprocess
 import sys
@@ -293,7 +294,7 @@ def test_cf_gaps_equals_cf_gap_at_each_t(fs, ts, n, seed):
     frequencies hold both w and w/2.  Where they do, the factor for w is the
     square of the one for w/2, and gap and stderr stay within 1e-14: for
     Laguerre(1/2)-Q1 at t = 0.5 next to 0.25 (20,000 samples, seed 7) the
-    gap moved from 0.030117915998222805 to 0.0301179159982228 on x86-64."""
+    gap moved from 0.0301179159982228 to 0.030117915998222805 on x86-64."""
     c = np.array([[inner(f, g) for g in fs] for f in fs])
     batch = sample(fs[0].space, n, seed=seed)
     together = cf_gaps(fs, c, ts, batch)
@@ -345,6 +346,75 @@ def test_cf_gaps_matches_full_array_reference(fs, ts, n, monkeypatch):
     for t, (gap, stderr), (ref_gap, ref_stderr) in zip(ts, results[0], ref):
         assert abs(gap - ref_gap) <= 1e-14, (t, gap, ref_gap)
         assert abs(stderr - ref_stderr) <= 1e-14, (t, stderr, ref_stderr)
+
+
+def _phase_factor(theta) -> np.ndarray:
+    """e^{i theta} as the bound check builds a phase factor: one step of
+    frequency 1 on a component whose values are theta."""
+    theta = np.asarray(theta, dtype=float)
+    m = theta.size
+    factors = np.empty((1, m), dtype=complex)
+    montecarlo._phase_sums([(0, 1.0, None)], [], theta[None, :], factors,
+                           np.empty(m, dtype=complex), np.empty(m), np.empty(m))
+    return factors[0]
+
+
+def test_phase_factor_matches_complex_exp():
+    """The factor from tau = tan(theta/2) is within 1e-15 of exp(1j*theta):
+    next to odd multiples of pi, where tau is near its largest, from |theta|
+    = 1e-300 to 1e3, and over random theta up to 5e3.  theta = 0 gives 1
+    exactly."""
+    assert _phase_factor([0.0]).tolist() == [1 + 0j]
+    odd_pi = np.arange(1, 1600, 2) * np.pi
+    near_pi = np.concatenate([odd_pi + k * np.spacing(odd_pi) for k in range(-4, 5)])
+    tiny_to_large = np.logspace(-300, 3, 3031)
+    wide = np.random.default_rng(5).uniform(-5e3, 5e3, 100_000)
+    for theta in (near_pi, -near_pi, tiny_to_large, -tiny_to_large, wide):
+        err = np.abs(_phase_factor(theta) - np.exp(1j * theta))
+        assert err.max() <= 1e-15, theta[err.argmax()]
+
+
+def test_non_finite_values_give_a_nan_gap():
+    """A value that is NaN or infinite leaves its factor NaN, and the square
+    of that factor, so the gap reads NaN instead of a plausible number."""
+    space = product_space(hermite(), 4, 1)
+    f = space.basis_fn((1,))  # F = x
+    for bad in (math.nan, math.inf, -math.inf):
+        points = np.asfortranarray(np.r_[np.linspace(-1.0, 1.0, 99), bad][:, None])
+        batch = montecarlo.SampleBatch(space, 100, 0, points)
+        with np.errstate(invalid="ignore"):
+            gaps = cf_gaps([f], np.eye(1), [[0.5], [1.0], [-3.0]], batch)
+        assert all(math.isnan(gap) for gap, _ in gaps), (bad, gaps)
+
+
+_DISPATCH_GAPS = """
+import json
+from chaoskit import hermite, inner, pair_mixed, sampled_cf_gaps, spread
+vectors = []
+for fs in (pair_mixed(2, 2, 0.5, 4), (spread(hermite(), 2, 3),)):
+    c = [[inner(f, g) for g in fs] for f in fs]
+    ts = [[0.25 * k] + [0.5 * k - 1.0] * (len(fs) - 1) for k in range(-4, 9)]
+    vectors.append((fs, c, ts))
+print(json.dumps(sampled_cf_gaps(vectors, 2 * 8192 + 17, 21)))
+"""
+
+
+def test_gaps_do_not_depend_on_simd_dispatch_beyond_1e15():
+    """With numpy's AVX-512 loops disabled, tan falls back to a loop that
+    differs in the last bit on about 0.5 % of inputs (x86-64), so gaps and
+    standard errors may move, but by at most 1e-15."""
+    runs = []
+    for disabled in (None, "X86_V4 AVX512_ICL AVX512_SPR"):
+        env = {k: v for k, v in os.environ.items() if k != "NPY_DISABLE_CPU_FEATURES"}
+        if disabled:
+            env["NPY_DISABLE_CPU_FEATURES"] = disabled
+        proc = subprocess.run([sys.executable, "-c", _DISPATCH_GAPS], env=env,
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        runs.append(json.loads(proc.stdout))
+    pairs = [(a, b) for va, vb in zip(*runs) for ga, gb in zip(va, vb) for a, b in zip(ga, gb)]
+    assert len(pairs) == 2 * 2 * 13
+    assert all(abs(a - b) <= 1e-15 for a, b in pairs)
 
 
 def _count_components(monkeypatch) -> list:
@@ -487,8 +557,8 @@ def test_bound_check_memory_does_not_grow_with_n_samples(workers, tmp_path, monk
     """No array of the bound check has n_samples rows: numpy reports its
     buffers to tracemalloc, and the traced peak at 40 chunks is within 1 MB
     of the peak at 4.  With two workers the peak at 4 chunks stays at most
-    7 MB (about 6.7 MB measured), so a workspace that grows with the number
-    of vectors fails."""
+    7 MB (6.72 MB measured on x86-64), so a workspace that grows with the
+    number of vectors fails."""
     obj = json.loads(BOUND_CHECK.read_text())
     monkeypatch.setattr(montecarlo, "_WORKERS", workers)
     peaks = []
