@@ -34,9 +34,7 @@ F_k gives a NaN factor.  Per t, one factor is summed; with more, the product
 of all but the last is dotted with the last, one pass (BLAS zdotu) for the
 last product and the sum.  Which factors, and which factor each t takes, is
 planned once per request.  Since |z| = 1, var(Re z) + var(Im z) =
-1 - |mean z|^2, so the standard error needs no second pass.  Against one
-complex `exp` and two variances over the whole batch, this moves gaps and
-standard errors by a few units in the last place.
+1 - |mean z|^2, so the standard error needs no second pass.
 
 Parallelism and workspace.  `_map` runs GIL-releasing numpy tasks on one
 module-level thread pool, built on first use with one worker per usable core
@@ -306,10 +304,12 @@ def _gaps(vectors, n: int, column) -> list[list[tuple[float, float]]]:
         out = []
         for t, emp in zip(ts, means):
             exact = np.exp(-0.5 * float(t @ c.cov @ t))
+            gap = float(abs(emp - exact))
             # |z| = 1, so var(Re z) + var(Im z) = 1 - |mean z|^2; one sample has
-            # variance 0, where the identity would leave a rounding residue
+            # variance 0, where the identity would leave a rounding residue.
+            # max() would turn a NaN into 0, so a NaN gap keeps a NaN error.
             var = max(0.0, 1.0 - abs(emp) ** 2) if n > 1 else 0.0
-            out.append((float(abs(emp - exact)), float(np.sqrt(var / n))))
+            out.append((gap, np.nan if np.isnan(gap) else float(np.sqrt(var / n))))
         results.append(out)
     return results
 

@@ -24,7 +24,6 @@ f = g, which is why only two-kernel checks can tell them apart.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -56,16 +55,14 @@ def _multiplicity(order: int, key: IndexTuple) -> int:
     return count
 
 
-def _arrangements(key: IndexTuple):
-    """The distinct arrangements of a sorted index tuple, in lexicographic
-    order: `_multiplicity` of them, where itertools.permutations makes p!."""
-    if len(key) <= 1:
-        yield key
-        return
-    for i, first in enumerate(key):
-        if i == 0 or key[i - 1] != first:
-            for rest in _arrangements(key[:i] + key[i + 1:]):
-                yield (first,) + rest
+def _orbits(m: int, p: int) -> np.ndarray:
+    """For every entry of a dense order-p tensor over R^m, the flat index of
+    its sorted index tuple: the entries that permute into each other share
+    it.  Transient memory is about (2p+1)*8 bytes per entry (the index grid,
+    its sorted copy and the map); under `check_product_formula_size` no
+    product-formula kernel has more than 4,096 entries."""
+    shape = (m,) * p
+    return np.ravel_multi_index(np.sort(np.indices(shape), axis=0), shape)
 
 
 @dataclass(frozen=True)
@@ -115,16 +112,19 @@ class SymTensor:
         return self.inner(self)
 
     def to_dense(self) -> np.ndarray:
-        out = np.zeros((self.dim,) * self.order)
-        for key, v in self.items_sorted():
-            for perm in _arrangements(key):
-                out[perm] = v
-        return out
+        """The full tensor: each entry at every arrangement of its index
+        tuple, by one gather through `_orbits`."""
+        shape = (self.dim,) * self.order
+        flat = np.zeros(self.dim**self.order)
+        keys = np.array(list(self.entries), dtype=np.intp).reshape(-1, self.order)
+        flat[np.ravel_multi_index(keys.T, shape)] = list(self.entries.values())
+        return flat[_orbits(self.dim, self.order)]
 
 
 def symmetrize(raw, dim: int | None = None, order: int | None = None) -> SymTensor:
     """Symmetrized tensor: entry at a sorted tuple is the average over all
-    permutations of the raw entries.  Idempotent on SymTensor input.
+    permutations of the raw entries, one mean per orbit of `_orbits`, whose
+    entries are added in lexicographic order.  Idempotent on SymTensor input.
 
     `raw` is a dense ndarray, a dict {index tuple: value}, or a SymTensor.
     """
@@ -143,13 +143,13 @@ def symmetrize(raw, dim: int | None = None, order: int | None = None) -> SymTens
     shape = set(arr.shape)
     if len(shape) != 1:
         raise ValueError(f"tensor axes differ in length: {arr.shape}")
-    m = arr.shape[0]
-    p = arr.ndim
-    entries: dict[IndexTuple, float] = {}
-    for key in itertools.combinations_with_replacement(range(m), p):
-        perms = list(_arrangements(key))
-        entries[key] = sum(arr[perm] for perm in perms) / len(perms)
-    return SymTensor(m, p, entries)
+    orbit = _orbits(arr.shape[0], arr.ndim).ravel()
+    size = np.bincount(orbit, minlength=arr.size)
+    sums = np.bincount(orbit, weights=arr.ravel(), minlength=arr.size)
+    keys = np.flatnonzero(size)  # the sorted tuples, ascending
+    means = (sums[keys] / size[keys]).tolist()
+    index = zip(*(axis.tolist() for axis in np.unravel_index(keys, arr.shape)))
+    return SymTensor(arr.shape[0], arr.ndim, dict(zip(index, means)))
 
 
 def contract(f: SymTensor, g: SymTensor, r: int):
@@ -162,17 +162,15 @@ def contract(f: SymTensor, g: SymTensor, r: int):
         raise ValueError("tensors have different dimension")
     if r < 0 or r > min(f.order, g.order):
         raise ValueError(f"contraction order r={r} out of range")
-    a = f.to_dense()
-    b = g.to_dense()
-    if r == 0:
-        out = np.tensordot(a, b, axes=0)
-    else:
-        axes_a = list(range(f.order - r, f.order))
-        axes_b = list(range(g.order - r, g.order))
-        out = np.tensordot(a, b, axes=(axes_a, axes_b))
-    if out.ndim == 0:
-        return float(out)
-    return out
+    out = _contract(f.to_dense(), g.to_dense(), r)
+    return float(out) if out.ndim == 0 else out
+
+
+def _contract(a: np.ndarray, b: np.ndarray, r: int) -> np.ndarray:
+    """`contract` of dense arrays; at r = 0 the empty axis lists make
+    `tensordot` the outer product."""
+    return np.tensordot(a, b, axes=(list(range(a.ndim - r, a.ndim)),
+                                    list(range(b.ndim - r, b.ndim))))
 
 
 def multiple_integral(f: SymTensor, space: ProductSpace | None = None) -> SpectralFn:
@@ -236,8 +234,9 @@ def product_formula_check(f: SymTensor, g: SymTensor) -> tuple[float, float]:
 
     fact = math.factorial(p)
     rhs = 2.0 * (fact * f.inner(g)) ** 2
+    a, b = f.to_dense(), g.to_dense()
     for r in range(1, p):
-        fg = contract(f, g, r)
-        gf = contract(g, f, r)
+        fg = _contract(a, b, r)
+        gf = _contract(b, a, r)
         rhs += fact**2 * math.comb(p, r) ** 2 * float(np.sum(fg * gf))
     return lhs, rhs

@@ -3,7 +3,8 @@
 Everything here is deliberately implemented without the library's recurrence /
 quadrature machinery: exact measure moments, Gram-Schmidt orthonormalization
 over those moments, symbolic application of the pinned generators, closed and
-50-digit forms of product linearization, and brute-force tensor algebra.
+50-digit forms of product linearization, brute-force tensor algebra, and
+the trace formulas of second-chaos (quadratic-form) vectors.
 Results are exact (sympy), high precision (mpmath) or plain loops, so they can
 serve as oracles for the fast implementations.  Some kept references are
 built on the library: `gamma_by_products`, the carre du champ from three full
@@ -293,3 +294,42 @@ def brute_contract(a: np.ndarray, b: np.ndarray, r: int):
 
 def brute_tensor_inner(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.sum(a * b))
+
+
+def arrangements(key: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """The distinct arrangements of an index tuple, in lexicographic order."""
+    return sorted(set(itertools.permutations(key)))
+
+
+# -- second-chaos traces -----------------------------------------------------
+
+
+def quadratic_report(As) -> dict:
+    """The `JointReport` fields of F_j = X^T A_j X - tr A_j, for X standard
+    Gaussian on R^n and symmetric A_j, from traces alone: C_ij = 2 tr(A_i A_j),
+    int F_i^2 F_j^2 = C_ii C_jj + 2 C_ij^2 + 32 tr(A_i^2 A_j^2)
+    + 16 tr((A_i A_j)^2), Var Gamma(F_i, -L^-1 F_j) = 8 tr(S^2) with
+    S = (A_i A_j + A_j A_i) / 2, and every eigenvalue is 2."""
+    As = [np.asarray(a, dtype=float) for a in As]
+
+    def pairwise(fn):
+        return np.array([[fn(a, b) for b in As] for a in As])
+
+    def sym(a, b):
+        return (a @ b + b @ a) / 2
+
+    cov = pairwise(lambda a, b: 2 * np.trace(a @ b))
+    diag = np.outer(np.diag(cov), np.diag(cov))
+    isserlis = diag + 2 * cov**2
+    mixed22 = isserlis + pairwise(
+        lambda a, b: 32 * np.trace(a @ a @ b @ b) + 16 * np.trace(a @ b @ a @ b))
+    var_gamma_m = pairwise(lambda a, b: 8 * np.trace(sym(a, b) @ sym(a, b)))
+    return {
+        "eigenvalues": (2.0,) * len(As),
+        "cov": cov,
+        "mixed22": mixed22,
+        "isserlis": isserlis,
+        "r_matrix": 2 * (0.5 * mixed22 - 0.5 * diag - cov**2),  # lambda = 2
+        "var_gamma_m": var_gamma_m,
+        "prop31": math.sqrt(var_gamma_m.sum()),
+    }

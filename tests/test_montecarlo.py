@@ -376,15 +376,17 @@ def test_phase_factor_matches_complex_exp():
 
 def test_non_finite_values_give_a_nan_gap():
     """A value that is NaN or infinite leaves its factor NaN, and the square
-    of that factor, so the gap reads NaN instead of a plausible number."""
+    of that factor, so the gap reads NaN instead of a plausible number, and
+    so does its standard error, also for a batch of one sample."""
     space = product_space(hermite(), 4, 1)
     f = space.basis_fn((1,))  # F = x
     for bad in (math.nan, math.inf, -math.inf):
-        points = np.asfortranarray(np.r_[np.linspace(-1.0, 1.0, 99), bad][:, None])
-        batch = montecarlo.SampleBatch(space, 100, 0, points)
-        with np.errstate(invalid="ignore"):
-            gaps = cf_gaps([f], np.eye(1), [[0.5], [1.0], [-3.0]], batch)
-        assert all(math.isnan(gap) for gap, _ in gaps), (bad, gaps)
+        for finite in (np.linspace(-1.0, 1.0, 99), np.empty(0)):
+            points = np.asfortranarray(np.r_[finite, bad][:, None])
+            batch = montecarlo.SampleBatch(space, len(points), 0, points)
+            with np.errstate(invalid="ignore"):
+                gaps = cf_gaps([f], np.eye(1), [[0.5], [1.0], [-3.0]], batch)
+            assert all(math.isnan(gap) and math.isnan(err) for gap, err in gaps), (bad, gaps)
 
 
 _DISPATCH_GAPS = """

@@ -9,21 +9,25 @@ Var Gamma is checked.  Mixed spaces draw each coordinate's family on its own.
 expansion kept in `oracles`, and expansions and kernels built from reordered
 dicts are checked to hold their terms with keys ascending.  The chaos
 checks and `eigenfunction_eigenvalue` are held to the spectrum-grouping
-references in `oracles`, also where a norm underflows or overflows.  The
-runs are derandomized and keep no example database, so they repeat exactly.
+references in `oracles`, also where a norm underflows or overflows.  On
+second-chaos vectors F_j = X^T A_j X - tr A_j, `joint_report` is held to the
+trace formulas of `oracles.quadratic_report`.  The runs are derandomized
+and keep no example database, so they repeat exactly.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chaoskit import ProductSpace, SpectralFn, SymTensor, apply_L, apply_Linv, gamma, hermite
 from chaoskit import inner, jacobi, laguerre, make_basis, moment4, multiple_integral, multiply
-from chaoskit import eigenfunction_eigenvalue, product_space, project, var_gamma
+from chaoskit import eigenfunction_eigenvalue, joint_report, product_space, project, var_gamma
 from chaoskit.spectral import EPS_GROUP, _membership
 
 import oracles
@@ -292,3 +296,47 @@ def test_hermite_var_gamma_below_fourth_cumulant(pf):
     p, f = pf
     kappa4 = moment4(f) - 3.0 * inner(f, f) ** 2
     assert var_gamma(f, -apply_Linv(f)) <= (p - 1) / (3 * p) * kappa4 * (1 + 1e-12)
+
+
+@st.composite
+def quadratic_forms(draw):
+    """Sparse, nonzero, symmetric A_j: d <= 3 of them on n <= 6 coordinates.
+    Entries stay above 1e-3 in size, as in `leveled`: a norm that underflows
+    makes F no eigenfunction to the library (see there)."""
+    n, d = draw(st.integers(1, 6)), draw(st.integers(1, 3))
+    pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).map(lambda kl: tuple(sorted(kl)))
+    value = st.floats(-1.0, 1.0).filter(lambda v: abs(v) > 1e-3)
+    entries = st.dictionaries(pair, value, min_size=1, max_size=4)
+    As = []
+    for _ in range(d):
+        a = np.zeros((n, n))
+        for (k, l), v in draw(entries).items():
+            a[k, l] = a[l, k] = v
+        As.append(a)
+    return As
+
+
+def _quadratic_fn(space: ProductSpace, a: np.ndarray) -> SpectralFn:
+    """X^T A X - tr A in orthonormal Hermite terms: x_k^2 - 1 = sqrt(2) Q_2(x_k)
+    and x_k x_l = Q_1(x_k) Q_1(x_l)."""
+    coeffs = {}
+    for k, l in zip(*np.nonzero(np.triu(a))):
+        alpha = [0] * space.dim
+        alpha[k] += 1
+        alpha[l] += 1
+        coeffs[tuple(alpha)] = math.sqrt(2.0) * a[k, l] if k == l else 2.0 * a[k, l]
+    return SpectralFn(space, coeffs)
+
+
+@settings(PROPERTY_SETTINGS, max_examples=100)
+@given(quadratic_forms())
+def test_second_chaos_joint_report_matches_traces(As):
+    """On second-chaos vectors F_j = X^T A_j X - tr A_j, every entry of
+    `joint_report` agrees with the trace formulas of `oracles.quadratic_report`,
+    and the vector is chaotic."""
+    space = product_space(hermite(), 4, len(As[0]))
+    rep = joint_report([_quadratic_fn(space, a) for a in As])
+    assert rep.chaotic_vector
+    for field, want in oracles.quadratic_report(As).items():
+        got = np.asarray(getattr(rep, field))
+        assert np.all(np.abs(got - want) <= 1e-12 * (1.0 + np.abs(want))), (field, got, want)

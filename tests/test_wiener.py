@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -68,18 +69,31 @@ def test_symmetrize_matches_brute_force():
         assert np.abs(sym.to_dense() - brute).max() < 1e-13
 
 
-def test_arrangements_are_the_sorted_distinct_permutations():
-    import itertools
-
+def test_orbit_map_gives_the_distinct_arrangements():
+    """A one-entry tensor densifies to its value exactly at the distinct
+    arrangements of its key, `_multiplicity` of them; `symmetrize` is the
+    mean over those arrangements added in lexicographic order, bit for bit."""
     for key in [(0,), (0, 0, 0), (0, 1, 2, 3), (0, 0, 1, 2), (0, 1, 1, 1, 3), (1, 1, 2, 2)]:
-        arrangements = list(wiener._arrangements(key))
-        assert arrangements == sorted(set(itertools.permutations(key)))
-        assert len(arrangements) == wiener._multiplicity(len(key), key)
+        dense = SymTensor(max(key) + 2, len(key), {key: 1.5}).to_dense()
+        where = [tuple(i) for i in np.argwhere(dense).tolist()]
+        assert where == oracles.arrangements(key)
+        assert all(dense[i] == 1.5 for i in where)
+        assert len(where) == wiener._multiplicity(len(key), key)
+    rng = np.random.default_rng(29)
+    for p in range(1, 6):
+        for m in (1, 2, 3, 4):
+            raw = rng.standard_normal((m,) * p) * 10.0 ** rng.uniform(-5, 4, (m,) * p)
+            got = symmetrize(raw).entries
+            for key in itertools.combinations_with_replacement(range(m), p):
+                perms = oracles.arrangements(key)
+                want = sum(raw[perm] for perm in perms) / len(perms)
+                assert got[key].hex() == float(want).hex(), (p, m, key)
 
 
 def test_to_dense_and_symmetrize_at_high_order():
-    """Dense round trips cost one visit per distinct arrangement, not p!: at
-    m = 1 and p = 17 there is one, where the permutations number 3.6e14."""
+    """Dense round trips cost one gather or one mean per entry of the dense
+    tensor, not a visit per permutation: at m = 1 and p = 17 there is one
+    entry, where the permutations number 3.6e14."""
     t = SymTensor(1, 17, {(0,) * 17: 2.5})
     dense = t.to_dense()
     assert dense.shape == (1,) * 17 and float(dense.sum()) == 2.5
